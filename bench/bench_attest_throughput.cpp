@@ -32,7 +32,8 @@
 //
 // Flags: --smoke shrinks session counts for CI bit-rot checks; --json F
 // writes the machine-readable trajectory record (tools/run_benches.sh
-// points it at BENCH_attest.json).
+// points it at BENCH_attest.json). Any other argument, or --json without
+// a path, is a usage error (exit 2).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -206,9 +207,14 @@ int main(int argc, char** argv) {
   bool smoke = false;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH]\n", argv[0]);
+      return 2;
+    }
   }
 
   const std::size_t sessions_per_sweep = smoke ? 24 : 120;

@@ -1,9 +1,11 @@
 // Arbitrary-precision unsigned integers and modular arithmetic.
 //
-// Backs RSA-3072 (SigStruct signing/verification, quote signatures) and
-// finite-field Diffie-Hellman (secure channel). Only non-negative values
-// are representable; all protocol math is modular. Limbs are 64-bit,
-// little-endian, normalized (no high zero limbs).
+// Backs RSA (SigStruct signing/verification, quote signatures, the secure
+// channel's identity signature). The channel's X25519 key agreement
+// (crypto/dh.h) has its own fixed-width field arithmetic and does not use
+// this class. Only non-negative values are representable; all protocol
+// math is modular. Limbs are 64-bit, little-endian, normalized (no high
+// zero limbs).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,7 @@ class BigInt {
   BigInt() = default;
   BigInt(std::uint64_t v);  // NOLINT(google-explicit-constructor): numeric literal convenience
 
-  /// Big-endian byte import/export (the wire format of RSA/DH values).
+  /// Big-endian byte import/export (the wire format of RSA values).
   static BigInt from_bytes_be(ByteView bytes);
   /// Export big-endian, left-padded with zeros to at least `min_len` bytes.
   Bytes to_bytes_be(std::size_t min_len = 0) const;
@@ -118,7 +120,7 @@ inline BigInt BigInt::mod(const BigInt& m) const {
 /// key — the constructor computes n' and R^2 mod n, which costs far more
 /// than a single multiplication).
 ///
-/// Exponentiation is fixed-window (4-5 bit for RSA/DH-sized exponents)
+/// Exponentiation is fixed-window (4-5 bit for RSA-sized exponents)
 /// over a precomputed odd-powers table, and every intermediate lives in a
 /// caller-supplied Scratch arena: the steady-state exp() path performs
 /// zero heap allocations (tests/test_alloc.cpp counts them). Wide inputs

@@ -132,9 +132,9 @@ Bytes SecureServer::handle(ByteView raw) {
     if (type == kMsgData) return handle_data(r);
     return rejection_record();
   } catch (const Error&) {
-    // Not just ParseError: malformed DH points or hook-level deserializer
-    // failures must answer a clean rejection, never escape into (and kill
-    // futures on) a frontend worker thread.
+    // Not just ParseError: hook-level deserializer failures must answer
+    // a clean rejection, never escape into (and kill futures on) a
+    // frontend worker thread.
     return rejection_record();
   }
 }
@@ -149,6 +149,35 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
   // Bind the freshly-allocated session into any active trace so the
   // handshake phases below are attributable to it.
   obs::TraceScope::set_session(session_id);
+
+  // Key agreement runs BEFORE the quote-verification hook: the hook
+  // spends the instance's one-time token (through Raft in cluster mode),
+  // so a wrong-length or low-order client key must be refused here, with
+  // the token still unspent. All key-establishment crypto stays outside
+  // every lock: the DRBG lease is held only for the 32-byte scalar draw;
+  // the scalar multiplications, the transcript hash, the HKDF expansion,
+  // and the RSA identity signature run lock-free.
+  Bytes server_pub;
+  Bytes secret;
+  {
+    static obs::Phase& p_dh = obs::Tracer::instance().phase("dh_derive");
+    obs::Span span(p_dh);
+    Bytes exponent;
+    {
+      auto lease = rng_.lease();
+      exponent = lease.rng().generate(crypto::DhKeyPair::kExponentBytes);
+    }
+    lockrank::assert_none_held("handshake key derivation");
+    const crypto::DhKeyPair server_dh =
+        crypto::DhKeyPair::from_exponent(exponent);
+    server_pub = server_dh.public_value();
+    try {
+      secret = server_dh.shared_secret(client_dh);
+    } catch (const Error&) {
+      handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
+      return rejection_record(StatusCode::kMalformedRequest);
+    }
+  }
 
   // The quote-verification hook — the expensive part of every attested
   // handshake — runs with no lock held: N racing handshakes verify N
@@ -171,26 +200,6 @@ Bytes SecureServer::handle_handshake(ByteReader& r) {
     return rejection_record(reject_status);
   }
 
-  // All key-establishment crypto stays outside every lock too. The DRBG
-  // lease is held only for the 48-byte exponent draw; the modexps, the
-  // transcript hash, the HKDF expansion, and the RSA identity signature
-  // run lock-free.
-  Bytes server_pub;
-  Bytes secret;
-  {
-    static obs::Phase& p_dh = obs::Tracer::instance().phase("dh_derive");
-    obs::Span span(p_dh);
-    Bytes exponent;
-    {
-      auto lease = rng_.lease();
-      exponent = lease.rng().generate(crypto::DhKeyPair::kExponentBytes);
-    }
-    lockrank::assert_none_held("handshake key derivation");
-    const crypto::DhKeyPair server_dh =
-        crypto::DhKeyPair::from_exponent(exponent);
-    server_pub = server_dh.public_value();
-    secret = server_dh.shared_secret(client_dh);
-  }
   TrafficKeys keys;
   {
     static obs::Phase& p_hkdf = obs::Tracer::instance().phase("hkdf");

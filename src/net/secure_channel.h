@@ -7,7 +7,8 @@
 //   server -> client : server DH public || RSA signature over
 //                      (client DH || server DH) || opaque server payload
 //
-// Both sides derive AES-256 AEAD traffic keys from the DH secret via HKDF.
+// DH is X25519 (RFC 7748, crypto/dh.h): 32-byte public values. Both sides
+// derive AES-256 AEAD traffic keys from the DH secret via HKDF.
 // The *server* is authenticated by its RSA identity key (clients check it
 // against the expected verifier identity — for SinClave singletons, against
 // the identity baked into the measured instance page). The *client* is
@@ -106,8 +107,11 @@ struct SecureServerOptions {
 /// dispatcher threads at once. Sessions live in a striped hash table
 /// (SecureServerOptions::session_stripes shards, each with its own mutex)
 /// behind shared_ptr, with a per-session lock serializing only records of
-/// that one session. ALL handshake crypto — the HandshakeHook (quote
-/// verification, the expensive part), DH derivation, transcript hashing,
+/// that one session. The server derives the DH secret before it runs the
+/// HandshakeHook, so a wrong-length or low-order client key is rejected
+/// (kMalformedRequest) without the hook ever seeing it — no token is spent
+/// on a handshake that cannot complete. ALL handshake crypto — the
+/// HandshakeHook (quote verification), DH derivation, transcript hashing,
 /// HKDF, and the RSA identity signature — runs with no SecureServer lock
 /// held; a session is published to its stripe only after its keys are
 /// fully derived. Consequently (and unlike the earlier coarse-mutex

@@ -6,7 +6,9 @@
 // one warm-up call (which grows the scratch arena and the output's limb
 // storage), steady-state exponentiation performs ZERO heap allocations.
 // The old implementation allocated two vectors per modular multiplication,
-// ~4,600 allocations per RSA-3072 signature.
+// ~4,600 allocations per RSA-3072 signature. The X25519 ladder behind the
+// channel's key agreement is held to the same bar with no warm-up at all:
+// its field elements are fixed-size stack values.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <new>
 
 #include "crypto/bignum.h"
+#include "crypto/dh.h"
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
 #include "obs/trace.h"
@@ -105,6 +108,24 @@ TEST(Allocation, SteadyStateSignAllocationCountIsSmallAndFlat) {
 
   EXPECT_EQ(second, third);
   EXPECT_LE(second, 40u);
+}
+
+TEST(Allocation, X25519IsAllocationFree) {
+  Drbg rng = Drbg::from_seed(10, "alloc-x25519");
+  const X25519Bytes scalar = X25519Bytes::from_view(rng.generate(32));
+  const X25519Bytes peer_scalar = X25519Bytes::from_view(rng.generate(32));
+  X25519Bytes base;
+  base.data[0] = 9;
+
+  X25519Bytes pub, peer_pub, shared, peer_shared;
+  const std::uint64_t before = g_allocations.load();
+  x25519(pub, scalar, base);
+  x25519(peer_pub, peer_scalar, base);
+  x25519(shared, scalar, peer_pub);
+  x25519(peer_shared, peer_scalar, pub);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(shared, peer_shared);
+  EXPECT_FALSE(shared.is_zero());
 }
 
 }  // namespace

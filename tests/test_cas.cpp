@@ -6,7 +6,9 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cas/service.h"
@@ -227,7 +229,81 @@ TEST_F(CasTest, PolicyReplaceTakesEffect) {
   EXPECT_TRUE(cas_.handle_instance(req).ok());
 }
 
-// --- striped token-spend store ---
+// --- attested handshakes through the full quote path ---
+
+/// A CAS with one registered quoting platform and one singleton policy
+/// (session `name`), bound at "cas" on its own SimNetwork: the whole
+/// quote path an attested handshake runs, without the runtime stack.
+struct QuotedCas {
+  QuotedCas(std::uint64_t seed, const std::string& rng_label,
+            const std::string& name)
+      : name(name),
+        rng(crypto::Drbg::from_seed(seed, rng_label)),
+        signer_key(crypto::RsaKeyPair::generate(rng, 1024)),
+        cas(&attestation, crypto::RsaKeyPair::generate(rng, 1024),
+            crypto::Drbg::from_seed(seed + 1, rng_label + "-cas")),
+        qe_rng(crypto::Drbg::from_seed(seed + 2, rng_label + "-qe")),
+        qe(cpu, qe_rng),
+        image(core::EnclaveImage::synthetic(name, sgx::kPageSize,
+                                            2 * sgx::kPageSize)),
+        signed_image(core::Signer(&signer_key).sign_sinclave(image)) {
+    cas.add_signer_key(signer_key);
+    attestation.register_platform(qe.attestation_key());
+    Policy policy;
+    policy.session_name = name;
+    policy.expected_signer =
+        crypto::sha256(signer_key.public_key().modulus_be());
+    policy.require_singleton = true;
+    policy.base_hash = signed_image.base_hash;
+    policy.config.program = "noop";
+    cas.install_policy(policy);
+    cas.bind(net, "cas");
+  }
+
+  /// Mint one token and start the singleton instance it belongs to.
+  std::pair<InstanceResponse, sgx::SgxCpu::EnclaveId> start_instance() {
+    InstanceRequest req;
+    req.session_name = name;
+    req.common_sigstruct = signed_image.sigstruct;
+    const InstanceResponse resp = cas.handle_instance(req);
+    EXPECT_TRUE(resp.ok());
+    core::InstancePage page;
+    page.token = resp.token;
+    page.verifier_id = resp.verifier_id;
+    const auto enclave =
+        runtime::start_enclave(cpu, image, resp.singleton_sigstruct, page);
+    EXPECT_TRUE(enclave.ok());
+    return {resp, enclave.id};
+  }
+
+  /// The attest payload for `token`, quoted by `enclave` with REPORTDATA
+  /// bound to `client_dh`.
+  AttestPayload payload_bound_to(sgx::SgxCpu::EnclaveId enclave,
+                                 const core::AttestationToken& token,
+                                 ByteView client_dh) {
+    const sgx::Report report = cpu.ereport(enclave, qe.target_info(),
+                                           net::channel_binding(client_dh));
+    const auto quote = qe.generate_quote(report);
+    EXPECT_TRUE(quote.has_value());
+    AttestPayload payload;
+    payload.session_name = name;
+    if (quote.has_value()) payload.quote = *quote;
+    payload.token = token;
+    return payload;
+  }
+
+  std::string name;
+  crypto::Drbg rng;
+  crypto::RsaKeyPair signer_key;
+  quote::AttestationService attestation;
+  CasService cas;
+  sgx::SgxCpu cpu{sgx::SgxCpu::Config{}};
+  crypto::Drbg qe_rng;
+  quote::QuotingEnclave qe;
+  core::EnclaveImage image;
+  core::SinclaveSignedImage signed_image;
+  net::SimNetwork net;
+};
 
 TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   // The token store is sharded by token id. Race many *distinct* tokens
@@ -235,34 +311,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   // per token: each token must attest exactly once, and the aggregate
   // accounting (summed across stripes) must balance. Run under TSAN in
   // CI, this also asserts the striped store itself is race-free.
-  crypto::Drbg rng = crypto::Drbg::from_seed(77, "token-race");
-  crypto::RsaKeyPair signer_key = crypto::RsaKeyPair::generate(rng, 1024);
-  quote::AttestationService attestation;
-  CasService cas(&attestation, crypto::RsaKeyPair::generate(rng, 1024),
-                 crypto::Drbg::from_seed(78, "token-race-cas"));
-  cas.add_signer_key(signer_key);
-
-  sgx::SgxCpu cpu(sgx::SgxCpu::Config{});
-  crypto::Drbg qe_rng = crypto::Drbg::from_seed(79, "token-race-qe");
-  quote::QuotingEnclave qe(cpu, qe_rng);
-  attestation.register_platform(qe.attestation_key());
-
-  const core::EnclaveImage image = core::EnclaveImage::synthetic(
-      "race", sgx::kPageSize, 2 * sgx::kPageSize);
-  const core::Signer signer(&signer_key);
-  const auto signed_image = signer.sign_sinclave(image);
-
-  Policy policy;
-  policy.session_name = "race";
-  policy.expected_signer =
-      crypto::sha256(signer_key.public_key().modulus_be());
-  policy.require_singleton = true;
-  policy.base_hash = signed_image.base_hash;
-  policy.config.program = "noop";
-  cas.install_policy(policy);
-
-  net::SimNetwork net;
-  cas.bind(net, "cas");
+  QuotedCas bed(77, "token-race", "race");
 
   constexpr int kTokens = 8;
   constexpr int kRacersPerToken = 2;
@@ -273,31 +322,15 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   };
   std::vector<Attempt> attempts;
   for (int t = 0; t < kTokens; ++t) {
-    InstanceRequest req;
-    req.session_name = "race";
-    req.common_sigstruct = signed_image.sigstruct;
-    const InstanceResponse resp = cas.handle_instance(req);
-    ASSERT_TRUE(resp.ok());
-    core::InstancePage page;
-    page.token = resp.token;
-    page.verifier_id = resp.verifier_id;
-    const auto enclave = runtime::start_enclave(
-        cpu, image, resp.singleton_sigstruct, page);
-    ASSERT_TRUE(enclave.ok());
+    const auto [resp, enclave] = bed.start_instance();
     for (int r = 0; r < kRacersPerToken; ++r) {
       Attempt a;
       a.client = std::make_unique<net::SecureClient>(
           crypto::Drbg::from_seed(
               static_cast<std::uint64_t>(100 + t * kRacersPerToken + r),
               "race-channel"));
-      const sgx::Report report =
-          cpu.ereport(enclave.id, qe.target_info(),
-                      net::channel_binding(a.client->dh_public()));
-      const auto quote = qe.generate_quote(report);
-      ASSERT_TRUE(quote.has_value());
-      a.payload.session_name = "race";
-      a.payload.quote = *quote;
-      a.payload.token = resp.token;
+      a.payload =
+          bed.payload_bound_to(enclave, resp.token, a.client->dh_public());
       a.token_index = t;
       attempts.push_back(std::move(a));
     }
@@ -307,9 +340,9 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
   std::atomic<int> rejected{0};
   std::vector<std::thread> racers;
   for (Attempt& a : attempts) {
-    racers.emplace_back([&net, &cas, &accepted, &rejected, &a] {
+    racers.emplace_back([&bed, &accepted, &rejected, &a] {
       const auto outcome =
-          a.client->connect(net.connect("cas"), cas.identity(),
+          a.client->connect(bed.net.connect("cas"), bed.cas.identity(),
                             a.payload.serialize());
       if (outcome.has_value())
         ++accepted[static_cast<std::size_t>(a.token_index)];
@@ -323,8 +356,45 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
     EXPECT_EQ(accepted[static_cast<std::size_t>(t)].load(), 1)
         << "token " << t << " must attest exactly once";
   EXPECT_EQ(rejected.load(), kTokens * (kRacersPerToken - 1));
-  EXPECT_EQ(cas.tokens_used(), static_cast<std::size_t>(kTokens));
-  EXPECT_EQ(cas.tokens_outstanding(), 0u);
+  EXPECT_EQ(bed.cas.tokens_used(), static_cast<std::size_t>(kTokens));
+  EXPECT_EQ(bed.cas.tokens_outstanding(), 0u);
+}
+
+TEST(CasHandshake, BadClientKeyIsRejectedBeforeTheTokenIsSpent) {
+  // The server derives the X25519 secret before the handshake hook runs.
+  // A quote correctly bound to a key the channel cannot use — a low-order
+  // point or a wrong-length value — must be refused without the hook
+  // spending the token, so the same instance can still attest with a
+  // good key afterwards.
+  QuotedCas bed(81, "bad-key", "bad-key");
+  const auto [resp, enclave] = bed.start_instance();
+
+  const Bytes low_order(32, 0);
+  const Bytes wrong_length(256, 0x42);
+  for (const Bytes& bad_key : {low_order, wrong_length}) {
+    SCOPED_TRACE(bad_key.size());
+    ByteWriter handshake;
+    handshake.u8(0);  // handshake record
+    handshake.bytes(bad_key);
+    handshake.bytes(
+        bed.payload_bound_to(enclave, resp.token, bad_key).serialize());
+    const Bytes reply = bed.net.connect("cas").call(handshake.data());
+    ASSERT_EQ(reply.size(), 2u);
+    EXPECT_EQ(reply[0], 0);  // rejected
+    EXPECT_EQ(static_cast<StatusCode>(reply[1]),
+              StatusCode::kMalformedRequest);
+    EXPECT_EQ(bed.cas.tokens_used(), 0u);
+    EXPECT_EQ(bed.cas.tokens_outstanding(), 1u);
+  }
+
+  net::SecureClient good(crypto::Drbg::from_seed(84, "bad-key-channel"));
+  const auto accepted = good.connect(
+      bed.net.connect("cas"), bed.cas.identity(),
+      bed.payload_bound_to(enclave, resp.token, good.dh_public())
+          .serialize());
+  EXPECT_TRUE(accepted.has_value());
+  EXPECT_EQ(bed.cas.tokens_used(), 1u);
+  EXPECT_EQ(bed.cas.tokens_outstanding(), 0u);
 }
 
 // --- protocol serialization ---

@@ -257,13 +257,13 @@ TEST(Dh, DistinctEphemeralsDistinctSecrets) {
 
 TEST(Dh, PublicValueFixedWidth) {
   Drbg rng = test_rng(32);
-  EXPECT_EQ(DhKeyPair::generate(rng).public_value().size(), 256u);
+  EXPECT_EQ(DhKeyPair::generate(rng).public_value().size(), 32u);
 }
 
 TEST(Dh, FromExponentMatchesGenerate) {
-  // The secure server draws exponent bytes under its DRBG lease and runs
-  // the modexp lock-free through from_exponent — the two constructions
-  // must be the same key pair for the same bytes.
+  // The secure server draws scalar bytes under its DRBG lease and runs
+  // the scalar multiplication lock-free through from_exponent — the two
+  // constructions must be the same key pair for the same bytes.
   Drbg draw = test_rng(36);
   const Bytes exponent = draw.generate(DhKeyPair::kExponentBytes);
   Drbg replay = test_rng(36);
@@ -275,17 +275,28 @@ TEST(Dh, FromExponentMatchesGenerate) {
   const DhKeyPair peer = DhKeyPair::generate(other_rng);
   EXPECT_EQ(generated.shared_secret(peer.public_value()),
             rebuilt.shared_secret(peer.public_value()));
-  EXPECT_THROW(DhKeyPair::from_exponent(Bytes(47, 1)), Error);
+  EXPECT_THROW(DhKeyPair::from_exponent(Bytes(31, 1)), Error);
+  EXPECT_THROW(DhKeyPair::from_exponent(Bytes(33, 1)), Error);
 }
 
 TEST(Dh, RejectsDegeneratePeerValues) {
   Drbg rng = test_rng(33);
   const DhKeyPair kp = DhKeyPair::generate(rng);
-  EXPECT_THROW(kp.shared_secret(BigInt{0}.to_bytes_be(256)), Error);
-  EXPECT_THROW(kp.shared_secret(BigInt{1}.to_bytes_be(256)), Error);
-  const BigInt p = DhGroup::modp2048().p;
-  EXPECT_THROW(kp.shared_secret((p - BigInt{1}).to_bytes_be(256)), Error);
-  EXPECT_THROW(kp.shared_secret(p.to_bytes_be(256)), Error);
+  // u = 0 and u = 1 are low-order points: the shared secret is all zero.
+  Bytes u(32, 0);
+  EXPECT_THROW(kp.shared_secret(u), Error);
+  u[0] = 1;
+  EXPECT_THROW(kp.shared_secret(u), Error);
+  // A point of order 8 (libsodium's blocklist): clamping makes every
+  // scalar a multiple of 8, so the result is the identity.
+  EXPECT_THROW(
+      kp.shared_secret(from_hex(
+          "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800")),
+      Error);
+  // Only exactly 32-byte values are points at all.
+  EXPECT_THROW(kp.shared_secret(Bytes(31, 9)), Error);
+  EXPECT_THROW(kp.shared_secret(Bytes(33, 9)), Error);
+  EXPECT_THROW(kp.shared_secret(Bytes(256, 9)), Error);
 }
 
 }  // namespace

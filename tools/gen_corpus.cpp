@@ -166,6 +166,24 @@ int main(int argc, char** argv) {
       write_seed(dir, "mode" + std::to_string(m),
                  mode(m, nums.generate(48)));
     }
+    // X25519: scalar || u-shape byte || u || peer scalar. The first seed
+    // is RFC 7748 §5.2's first vector; the others reach the non-canonical
+    // (p + small) and top-bit-set decodings.
+    const Bytes rfc = concat(
+        {from_hex("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244"
+                  "ba449ac4"),
+         Bytes{0},
+         from_hex("e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6"
+                  "d0ab1c4c"),
+         nums.generate(32)});
+    write_seed(dir, "x25519_rfc7748", mode(5, rfc));
+    for (std::uint8_t shape = 1; shape <= 2; ++shape) {
+      const Bytes scalar = nums.generate(32);
+      const Bytes u = nums.generate(32);
+      const Bytes peer = nums.generate(32);
+      write_seed(dir, "x25519_shape" + std::to_string(shape),
+                 mode(5, concat({scalar, Bytes{shape}, u, peer})));
+    }
   }
 
   // --- fuzz_sha_aead_diff -------------------------------------------------

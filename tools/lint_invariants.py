@@ -71,14 +71,16 @@ MUTEX_ALLOWED = {
 
 STATUS_TABLE = "src/common/status.cpp"
 
-# The signing hot path: tests/test_alloc.cpp proves these allocation-free
-# at runtime; the lint proves nobody reintroduces an allocation token.
+# The signing and key-agreement hot paths: tests/test_alloc.cpp proves
+# these allocation-free at runtime; the lint proves nobody reintroduces an
+# allocation token.
 ALLOC_FREE_FILES = (
     "src/crypto/bignum.h",
     "src/crypto/bignum.cpp",
     "src/crypto/sha256.cpp",
     "src/crypto/sha256_fast.cpp",
     "src/crypto/hmac.cpp",
+    "src/crypto/dh.cpp",
 )
 
 WIRE_TYPES = (
