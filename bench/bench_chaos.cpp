@@ -61,11 +61,17 @@ int main(int argc, char** argv) {
   const char* json_path = nullptr;
   std::uint64_t seed = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH] [--seed N]\n",
+                   argv[0]);
+      return 2;
+    }
   }
 
   std::printf("bench_chaos: %zu scenarios, seed=%llu%s\n",

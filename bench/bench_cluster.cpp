@@ -53,13 +53,22 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::int64_t recovery_bound_ms = 5000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--recovery-bound-ms") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--recovery-bound-ms") == 0 &&
+               i + 1 < argc) {
       recovery_bound_ms = std::strtoll(argv[++i], nullptr, 10);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--smoke] [--json PATH] [--seed N] "
+                   "[--recovery-bound-ms MS]\n",
+                   argv[0]);
+      return 2;
+    }
   }
 
   const std::size_t fleet = smoke ? 2 : 3;

@@ -124,7 +124,15 @@ Row measure(workload::Testbed& bed, runtime::RuntimeMode mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  bool full = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--full") == 0) {
+      full = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--full]\n", argv[0]);
+      return 2;
+    }
+  }
 
   std::printf("== Fig 8: program execution across heap sizes ==\n");
   std::printf("(setup: generating RSA-3072 keys...)\n\n");

@@ -75,9 +75,14 @@ int main(int argc, char** argv) {
   bool smoke = false;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH]\n", argv[0]);
+      return 2;
+    }
   }
   const std::size_t requests_per_client = smoke ? 10 : 50;
   // Kept full-size even under --smoke: the serial-vs-batch gate needs the

@@ -50,18 +50,6 @@ void stable(const Bytes& input) {
   });
 }
 
-/// The legacy (v0) encodings of the response types, same property.
-template <typename T>
-void stable_v0(const Bytes& input) {
-  typed_only(input, [](ByteView raw) {
-    const T first = T::deserialize_v0(raw);
-    const Bytes once = first.serialize_v0();
-    const T second = T::deserialize_v0(once);
-    require(second.serialize_v0() == once,
-            "v0 serialize(deserialize(b)) not a fixed point");
-  });
-}
-
 }  // namespace
 
 int run_envelope(const std::uint8_t* data, std::size_t size) {
@@ -94,19 +82,15 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
       stable<cas::InstanceRequest>(input);
       break;
     case 3:
+    case 4:  // mode numbers stay put (reproducers name them): 4 aliases 3
       stable<cas::InstanceResponse>(input);
-      break;
-    case 4:
-      stable_v0<cas::InstanceResponse>(input);
       break;
     case 5:
       stable<cas::AttestPayload>(input);
       break;
     case 6:
+    case 7:  // 7 aliases 6, likewise
       stable<cas::ConfigResponse>(input);
-      break;
-    case 7:
-      stable_v0<cas::ConfigResponse>(input);
       break;
     case 8:
       stable<cas::IntrospectRequest>(input);
@@ -148,13 +132,11 @@ int run_envelope(const std::uint8_t* data, std::size_t size) {
     }
     case 12: {
       // decode_attest_payload returns nullopt on garbage — never throws —
-      // and the legacy status-string reverse map accepts any string.
+      // and a refusal always carries a status.
       cas::FrameInfo info;
-      (void)cas::decode_attest_payload(input, &info);
-      const std::string text(input.begin(), input.end());
-      const StatusCode code = cas::status_code_from_legacy(text);
-      require(std::string(to_string(code)) != "unknown",
-              "legacy status mapping produced an out-of-enum code");
+      const auto payload = cas::decode_attest_payload(input, &info);
+      require(payload.has_value() == (info.status == StatusCode::kOk),
+              "attest decode outcome disagrees with its frame status");
       break;
     }
   }

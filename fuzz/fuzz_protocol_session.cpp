@@ -132,8 +132,8 @@ class SessionMachine {
     return answer;
   }
 
-  /// Wrap a payload in a v1 envelope (or send it raw legacy, fuzz's
-  /// choice) and return the decoded response payload.
+  /// Wrap a payload in an envelope and return the decoded response
+  /// payload.
   Bytes enveloped_round_trip(cas::Command command, const Bytes& payload) {
     cas::Envelope env;
     env.command = command;
@@ -188,7 +188,7 @@ class SessionMachine {
     payload.token = m.token;
     ++issued_;
     const auto outcome = client->connect(
-        net_.connect("cas"), cas_->identity(), payload.serialize());
+        net_.connect("cas"), cas_->identity(), payload.enveloped());
     if (outcome.has_value() && keep != nullptr) *keep = std::move(client);
     return outcome.has_value();
   }
@@ -268,15 +268,9 @@ class SessionMachine {
     const std::size_t before = cas_->tokens_outstanding();
     const Bytes answer = call_instance(frame);
     garbage_minted_ += cas_->tokens_outstanding() - before;
-    // Whatever came in, the answer must decode on one of the two
-    // documented response paths (envelope or legacy v0).
+    // Whatever came in, the answer must be a well-formed envelope.
     try {
-      if (cas::Envelope::matches(answer)) {
-        const cas::Envelope reply = cas::Envelope::deserialize(answer);
-        (void)reply;
-      } else {
-        (void)cas::InstanceResponse::deserialize_v0(answer);
-      }
+      (void)cas::Envelope::deserialize(answer);
     } catch (const Error&) {
       require(false, "instance endpoint answered garbage with garbage");
     }

@@ -7,14 +7,13 @@
 //  * composing a detail and parsing it back round-trips the value;
 //  * every wire status byte maps into the enum (to_string never falls
 //    through to "unknown") and known bytes map to themselves;
-//  * the legacy error-string reverse map agrees with the forward
-//    status_message table on every code.
+//  * the canonical message table covers every code, and a detail-less
+//    Status renders exactly that message.
 #include "harnesses.h"
 
 #include <chrono>
 #include <string>
 
-#include "cas/protocol.h"
 #include "common/status.h"
 #include "fuzz_util.h"
 
@@ -67,16 +66,13 @@ int run_status_details(const std::uint8_t* data, std::size_t size) {
       break;
     }
     case 3: {
-      // Legacy reverse map: canonical strings map back to their code,
-      // anything else lands on kInternal.
-      const std::uint8_t wire = in.u8();
-      const StatusCode code = status_code_from_wire(wire);
-      if (code != StatusCode::kOk && code != StatusCode::kInternal)
-        require(cas::status_code_from_legacy(status_message(code)) == code,
-                "legacy map disagrees with status_message");
-      const Bytes raw = in.rest();
-      (void)cas::status_code_from_legacy(
-          std::string(raw.begin(), raw.end()));
+      // Message table: total over the enum, and the fallback a Status
+      // without detail renders.
+      const StatusCode code = status_code_from_wire(in.u8());
+      const std::string canonical = status_message(code);
+      require(!canonical.empty(), "status code without a message");
+      require(Status(code).message() == canonical,
+              "detail-less status does not render its canonical message");
       break;
     }
     case 4: {

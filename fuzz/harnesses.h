@@ -11,7 +11,7 @@
 
 namespace sinclave::fuzz {
 
-/// Envelope + every protocol message decoder (v1 and legacy v0):
+/// Envelope + every protocol message decoder:
 /// only typed errors escape, successful decodes re-serialize stably,
 /// frame servers never throw at all.
 int run_envelope(const std::uint8_t* data, std::size_t size);
@@ -31,7 +31,7 @@ int run_persistence(const std::uint8_t* data, std::size_t size);
 int run_sigstruct_quote(const std::uint8_t* data, std::size_t size);
 
 /// Status detail parsers (parse_retry_after and friends) plus the
-/// wire/legacy status-code mappings.
+/// wire status-code mapping and the canonical message table.
 int run_status_details(const std::uint8_t* data, std::size_t size);
 
 /// Differential oracle: Montgomery exp/exp_u64/mul_mod/reduce vs a naive

@@ -519,18 +519,15 @@ Status AttestedChannel::attest(const crypto::RsaPublicKey& cas_identity,
       obs::Tracer::instance().phase("client_attest");
   static obs::Phase& p_handshake =
       obs::Tracer::instance().phase("client_handshake");
-  Envelope env;
-  env.command = Command::kAttest;
-  env.request_id = next_request_id_++;
-  env.payload = payload.serialize();
-  RootScope rs(p_root, env.request_id);
+  const std::uint64_t request_id = next_request_id_++;
+  RootScope rs(p_root, request_id);
 
   std::optional<Bytes> accepted;
   StatusCode rejected = StatusCode::kAttestationRejected;
   try {
     obs::Span span(p_handshake);
     accepted = client_.connect(net_->connect(cas_address_), cas_identity,
-                               env.serialize(), &rejected);
+                               payload.enveloped(request_id), &rejected);
   } catch (const net::IdentityMismatchError&) {
     throw;  // an active attack must stay loud, never become a Status
   } catch (const Error& e) {

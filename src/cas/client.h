@@ -90,8 +90,10 @@ struct CasClientConfig {
   ///     next cluster peer before the normal paced retry, so a killed
   ///     leader is survived by discovering its successor.
   /// Empty (the default) keeps the single-server behavior bit-for-bit.
-  std::vector<std::string> cluster;
-  RetryPolicy retry;
+  /// The `{}` here and on `retry` let designated initializers omit either
+  /// field without a -Wmissing-field-initializers warning.
+  std::vector<std::string> cluster{};
+  RetryPolicy retry{};
 };
 
 /// Outcome of a singleton retrieval. Credential fields are meaningful only

@@ -104,37 +104,7 @@ Status read_status(ByteReader& r) {
   return s;
 }
 
-/// Seed-era status prefix: `u8 ok | str error` (error empty on success).
-void write_status_v0(ByteWriter& w, const Status& status) {
-  w.u8(status.ok() ? 1 : 0);
-  w.str(status.ok() ? std::string{} : status.message());
-}
-
-Status read_status_v0(ByteReader& r) {
-  const bool was_ok = r.u8() != 0;
-  const std::string error = r.str();
-  if (was_ok) return Status();
-  const StatusCode code = status_code_from_legacy(error);
-  // Preserve non-canonical detail so nothing is lost in translation.
-  return error == status_message(code) ? Status(code) : Status(code, error);
-}
-
 }  // namespace
-
-StatusCode status_code_from_legacy(const std::string& error) {
-  for (const StatusCode code :
-       {StatusCode::kUnknownSession, StatusCode::kNotSingleton,
-        StatusCode::kNoSignerKey, StatusCode::kBadSignature,
-        StatusCode::kWrongSigner, StatusCode::kBaseHashMismatch,
-        StatusCode::kTokenUnknown, StatusCode::kTokenReused,
-        StatusCode::kSessionNotAttested, StatusCode::kAttestationRejected,
-        StatusCode::kMalformedRequest, StatusCode::kUnsupportedVersion,
-        StatusCode::kUnknownCommand, StatusCode::kUnavailable,
-        StatusCode::kDeadlineExceeded, StatusCode::kNotLeader}) {
-    if (error == status_message(code)) return code;
-  }
-  return StatusCode::kInternal;
-}
 
 // --- messages ---------------------------------------------------------------
 
@@ -220,27 +190,6 @@ InstanceResponse InstanceResponse::deserialize(ByteView data) {
   return resp;
 }
 
-Bytes InstanceResponse::serialize_v0() const {
-  ByteWriter w;
-  write_status_v0(w, status);
-  w.raw(token.view());
-  w.raw(verifier_id.view());
-  w.bytes(ok() ? singleton_sigstruct.serialize() : Bytes{});
-  return std::move(w).take();
-}
-
-InstanceResponse InstanceResponse::deserialize_v0(ByteView data) {
-  ByteReader r(data);
-  InstanceResponse resp;
-  resp.status = read_status_v0(r);
-  resp.token = r.fixed<32>();
-  resp.verifier_id = r.fixed<32>();
-  const Bytes sig = r.bytes();
-  if (resp.ok()) resp.singleton_sigstruct = sgx::SigStruct::deserialize(sig);
-  r.expect_done();
-  return resp;
-}
-
 Bytes AttestPayload::serialize() const {
   ByteWriter w;
   w.str(session_name);
@@ -260,6 +209,14 @@ AttestPayload AttestPayload::deserialize(ByteView data) {
   return p;
 }
 
+Bytes AttestPayload::enveloped(std::uint64_t request_id) const {
+  Envelope env;
+  env.command = Command::kAttest;
+  env.request_id = request_id;
+  env.payload = serialize();
+  return env.serialize();
+}
+
 Bytes ConfigResponse::serialize() const {
   ByteWriter w;
   write_status(w, status);
@@ -271,23 +228,6 @@ ConfigResponse ConfigResponse::deserialize(ByteView data) {
   ByteReader r(data);
   ConfigResponse resp;
   resp.status = read_status(r);
-  const Bytes cfg = r.bytes();
-  if (resp.ok()) resp.config = AppConfig::deserialize(cfg);
-  r.expect_done();
-  return resp;
-}
-
-Bytes ConfigResponse::serialize_v0() const {
-  ByteWriter w;
-  write_status_v0(w, status);
-  w.bytes(ok() ? config.serialize() : Bytes{});
-  return std::move(w).take();
-}
-
-ConfigResponse ConfigResponse::deserialize_v0(ByteView data) {
-  ByteReader r(data);
-  ConfigResponse resp;
-  resp.status = read_status_v0(r);
   const Bytes cfg = r.bytes();
   if (resp.ok()) resp.config = AppConfig::deserialize(cfg);
   r.expect_done();
@@ -383,9 +323,6 @@ IntrospectResponse IntrospectResponse::deserialize(ByteView data) {
 
 namespace {
 
-/// Legacy v0 secure-channel command byte (the old `Command::kGetConfig`).
-constexpr std::uint8_t kLegacyGetConfig = 1;
-
 void note(FrameInfo* info, const FrameInfo& value) {
   if (info != nullptr) *info = value;
 }
@@ -398,7 +335,6 @@ std::optional<Bytes> gate_envelope(const Envelope& env, Command expected,
                                    const MakeErrorPayload& error_payload,
                                    FrameInfo* info) {
   FrameInfo fi;
-  fi.version = env.version;
   fi.command = env.command;
   fi.request_id = env.request_id;
   if (env.version > kProtocolVersion) {
@@ -447,29 +383,11 @@ Bytes serve_instance_frame(ByteView raw, const InstanceHandler& handler,
     }
   };
 
-  if (!Envelope::matches(raw)) {
-    // Legacy v0 peer: raw InstanceRequest in, raw v0 response out.
-    FrameInfo fi;
-    fi.legacy = true;
-    fi.version = 0;
-    InstanceResponse resp;
-    try {
-      const InstanceRequest req = InstanceRequest::deserialize(raw);
-      resp = dispatch(req);
-    } catch (const Error&) {
-      resp = InstanceResponse{};
-      resp.status = Status(StatusCode::kMalformedRequest);
-    }
-    fi.status = resp.status.code;
-    note(info, fi);
-    return resp.serialize_v0();
-  }
-
   Envelope env;
   try {
     env = Envelope::deserialize(raw);
   } catch (const Error&) {
-    // Carried the magic but not the layout: answer a malformed-request
+    // No magic, or the magic without the layout: answer a malformed-request
     // envelope with request_id 0 (we never learned the real one).
     FrameInfo fi;
     fi.status = StatusCode::kMalformedRequest;
@@ -531,36 +449,6 @@ Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
     resp.status = Status(code);
     return resp.serialize();
   };
-  const auto run = [&handler]() {
-    try {
-      return handler();
-    } catch (const Error&) {
-      ConfigResponse resp;
-      resp.status = Status(StatusCode::kInternal);
-      return resp;
-    }
-  };
-
-  if (!Envelope::matches(plaintext)) {
-    // Legacy v0 record: `u8 command` plaintext, answered in kind. Like
-    // the seed decoder, only the command byte is interpreted — trailing
-    // bytes are tolerated, so pre-envelope peers keep working unchanged.
-    FrameInfo fi;
-    fi.legacy = true;
-    fi.version = 0;
-    fi.command = Command::kGetConfig;
-    ConfigResponse resp;
-    if (plaintext.empty()) {
-      resp.status = Status(StatusCode::kMalformedRequest);
-    } else if (plaintext[0] != kLegacyGetConfig) {
-      resp.status = Status(StatusCode::kUnknownCommand);
-    } else {
-      resp = run();
-    }
-    fi.status = resp.status.code;
-    note(info, fi);
-    return resp.serialize_v0();
-  }
 
   Envelope env;
   try {
@@ -580,52 +468,37 @@ Bytes serve_config_frame(ByteView plaintext, const ConfigHandler& handler,
           gate_envelope(env, Command::kGetConfig, error_payload, info))
     return std::move(*rejected);
 
-  const ConfigResponse resp = run();
+  ConfigResponse resp;
+  try {
+    resp = handler();
+  } catch (const Error&) {
+    resp = ConfigResponse{};
+    resp.status = Status(StatusCode::kInternal);
+  }
   if (info != nullptr) info->status = resp.status.code;
   return env.reply(resp.serialize()).serialize();
 }
 
 std::optional<AttestPayload> decode_attest_payload(ByteView raw,
                                                    FrameInfo* info) {
-  if (Envelope::matches(raw)) {
-    FrameInfo fi;
-    try {
-      const Envelope env = Envelope::deserialize(raw);
-      fi.version = env.version;
-      fi.command = env.command;
-      fi.request_id = env.request_id;
-      if (env.version > kProtocolVersion) {
-        fi.status = StatusCode::kUnsupportedVersion;
-        note(info, fi);
-        return std::nullopt;
-      }
-      if (env.command != Command::kAttest) {
-        fi.status = StatusCode::kUnknownCommand;
-        note(info, fi);
-        return std::nullopt;
-      }
-      AttestPayload payload = AttestPayload::deserialize(env.payload);
-      note(info, fi);
-      return payload;
-    } catch (const Error&) {
-      fi.status = StatusCode::kMalformedRequest;
-      note(info, fi);
-      return std::nullopt;
-    }
-  }
   FrameInfo fi;
-  fi.legacy = true;
-  fi.version = 0;
   fi.command = Command::kAttest;
+  std::optional<AttestPayload> payload;
   try {
-    AttestPayload payload = AttestPayload::deserialize(raw);
-    note(info, fi);
-    return payload;
+    const Envelope env = Envelope::deserialize(raw);
+    fi.command = env.command;
+    fi.request_id = env.request_id;
+    if (env.version > kProtocolVersion)
+      fi.status = StatusCode::kUnsupportedVersion;
+    else if (env.command != Command::kAttest)
+      fi.status = StatusCode::kUnknownCommand;
+    else
+      payload = AttestPayload::deserialize(env.payload);
   } catch (const Error&) {
     fi.status = StatusCode::kMalformedRequest;
-    note(info, fi);
-    return std::nullopt;
   }
+  note(info, fi);
+  return payload;
 }
 
 }  // namespace sinclave::cas

@@ -69,7 +69,7 @@ CasService::CasService(quote::AttestationService* attestation,
     throw Error("cas: attestation service required");
 
   // The service's own collector: token accounting, the token-minting DRBG
-  // pool, the secure endpoint's frame classification, and the secure
+  // pool, the secure endpoint's frame counts, and the secure
   // channel's raw stats (under channel_* names; the serving layer's
   // ServerMetrics mirror keeps its own secure_* spellings). The registry
   // dies with the service, so `this` cannot dangle.
@@ -78,9 +78,7 @@ CasService::CasService(quote::AttestationService* attestation,
     snap.counter("tokens_spent", tokens_used());
     snap.counter("token_rng_stripe_collisions", token_rng_.collisions());
     const SecureFrameStats frames = secure_frame_stats();
-    snap.counter("secure_attest_legacy_frames", frames.attest_legacy);
     snap.counter("secure_attest_envelope_frames", frames.attest_envelope);
-    snap.counter("secure_config_legacy_frames", frames.config_legacy);
     snap.counter("secure_config_envelope_frames", frames.config_envelope);
     // ensure_secure_server(): call_once is the synchronization that makes
     // secure_server_ safely readable here (a bare null check would race
@@ -229,9 +227,9 @@ net::SecureServer::Stats CasService::secure_channel_stats() {
 
 void CasService::bind(net::SimNetwork& net, const std::string& address) {
   net.listen(address + ".instance", [this](ByteView raw) {
-    // Envelope/legacy decode, version gate, and malformed-input handling
-    // all live in serve_instance_frame — shared with server::CasServer so
-    // the two frontends answer identically.
+    // Envelope decode, version gate, and malformed-input handling all
+    // live in serve_instance_frame — shared with server::CasServer so the
+    // two frontends answer identically.
     obs::Tracer& tracer = obs::Tracer::instance();
     obs::TraceContext ctx;
     ctx.trace_id = tracer.new_trace_id();
@@ -335,34 +333,89 @@ void CasService::register_token(const core::AttestationToken& token,
                         PendingToken{session_name, expected_mr, false});
 }
 
+Status CasService::arm_token(const MintedCredential& cred,
+                             const std::string& session_name) {
+  if (ReplicationGate* gate =
+          replication_gate_.load(std::memory_order_acquire);
+      gate != nullptr) {
+    // Cluster mode: the arming is a log entry, applied on every node
+    // (this one included) via register_token once committed.
+    return gate->register_token(cred.token, session_name, cred.mr_enclave);
+  }
+  register_token(cred.token, session_name, cred.mr_enclave);
+  return Status();
+}
+
+Status CasService::check_token(const PendingToken* pending,
+                               const std::string& session_name,
+                               const sgx::Measurement& mr_enclave) {
+  if (pending == nullptr || pending->session_name != session_name)
+    return Status(StatusCode::kTokenUnknown);
+  if (pending->used) return Status(StatusCode::kTokenReused);
+  if (mr_enclave != pending->expected_mr)
+    return Status(StatusCode::kAttestationRejected);
+  return Status();
+}
+
 Status CasService::peek_spend(const core::AttestationToken& token,
                               const std::string& session_name,
                               const sgx::Measurement& mr_enclave) const {
   const TokenStripe& stripe = token_stripe(token);
   MutexLock lock(stripe.m);
   const auto it = stripe.tokens.find(token);
-  if (it == stripe.tokens.end() || it->second.session_name != session_name)
-    return Status(StatusCode::kTokenUnknown);
-  if (it->second.used) return Status(StatusCode::kTokenReused);
-  if (mr_enclave != it->second.expected_mr)
-    return Status(StatusCode::kAttestationRejected);
-  return Status();
+  return check_token(it == stripe.tokens.end() ? nullptr : &it->second,
+                     session_name, mr_enclave);
 }
 
 Status CasService::apply_replicated_spend(const core::AttestationToken& token,
                                           const std::string& session_name,
                                           const sgx::Measurement& mr_enclave) {
+  // Lookup, one-time check, measurement check and spend are one critical
+  // section inside the token's stripe: two spends racing on the same token
+  // serialize there, so exactly one can ever flip `used`.
   TokenStripe& stripe = token_stripe(token);
   MutexLock lock(stripe.m);
   const auto it = stripe.tokens.find(token);
-  if (it == stripe.tokens.end() || it->second.session_name != session_name)
-    return Status(StatusCode::kTokenUnknown);
-  if (it->second.used) return Status(StatusCode::kTokenReused);
-  if (mr_enclave != it->second.expected_mr)
-    return Status(StatusCode::kAttestationRejected);
-  it->second.used = true;  // singleton: this token never attests again
+  PendingToken* pending = it == stripe.tokens.end() ? nullptr : &it->second;
+  const Status verdict = check_token(pending, session_name, mr_enclave);
+  if (!verdict.ok()) return verdict;
+  pending->used = true;  // singleton: this token never attests again
   ++stripe.used;
-  return Status();
+  return verdict;
+}
+
+Status CasService::spend_token(const core::AttestationToken& token,
+                               const std::string& session_name,
+                               const sgx::Measurement& mr_enclave) {
+  static obs::Phase& p_spend = obs::Tracer::instance().phase("token_spend");
+  ReplicationGate* gate = replication_gate_.load(std::memory_order_acquire);
+  if (gate == nullptr) {
+    // A gateless service is its own log: the spend applies right here,
+    // and different tokens proceed on different stripes in parallel.
+    obs::Span spend_span(p_spend);  // covers stripe-lock wait + spend
+    return apply_replicated_spend(token, session_name, mr_enclave);
+  }
+  // Cluster mode. A cheap local precheck first (rejects that need no log
+  // traffic), then the spend commits through the replicated log with no
+  // lock held; apply_replicated_spend — run on every node in log order —
+  // is the authoritative mark-used. Two handshakes racing the same token
+  // may both pass the precheck and both propose; the log serializes them,
+  // the first applied spend wins everywhere, and the loser's own proposal
+  // answers kTokenReused.
+  Status spent = peek_spend(token, session_name, mr_enclave);
+  // A local "token unknown" is only authoritative on a caught-up leader:
+  // a lagging replica (follower, or a fresh leader before its no-op
+  // applies) may simply not have applied the registration yet. Commit the
+  // spend through the log instead — it serializes after every
+  // registration, so the apply verdict is authoritative (and a follower
+  // answers kNotLeader, routing the client onward).
+  const bool local_miss_untrusted =
+      spent.code == StatusCode::kTokenUnknown && !gate->ready();
+  if (spent.ok() || local_miss_untrusted) {
+    obs::Span spend_span(p_spend);  // covers the replicated commit
+    spent = gate->spend_token(token, session_name, mr_enclave);
+  }
+  return spent;
 }
 
 std::optional<StatusCode> CasService::check_retrieval_preconditions(
@@ -374,10 +427,40 @@ std::optional<StatusCode> CasService::check_retrieval_preconditions(
   return std::nullopt;
 }
 
+Status CasService::verify_common(const Policy& policy,
+                                 const sgx::SigStruct& common_sigstruct,
+                                 InstanceTimings* timings) const {
+  // Authentic (RSA) and from the expected signer...
+  auto mark = Clock::now();
+  const bool sig_ok = common_sigstruct.signature_valid();
+  if (timings != nullptr) timings->verify += Clock::now() - mark;
+  if (!sig_ok) return Status(StatusCode::kBadSignature);
+  if (common_sigstruct.mr_signer() != policy.expected_signer)
+    return Status(StatusCode::kWrongSigner);
+
+  // ...and the common measurement the policy's base hash predicts.
+  mark = Clock::now();
+  const sgx::Measurement expected_common =
+      core::MeasurementPredictor::predict_common(*policy.base_hash);
+  if (timings != nullptr) timings->predict += Clock::now() - mark;
+  if (common_sigstruct.enclave_hash != expected_common)
+    return Status(StatusCode::kBaseHashMismatch);
+  return Status();
+}
+
 InstanceResponse CasService::handle_instance(const InstanceRequest& request) {
   InstanceResponse resp;
   InstanceTimings t;
   const auto total_start = Clock::now();
+
+  // Retrieval is a write (it arms a token): a replica that cannot commit
+  // writes refuses before any policy work or signing.
+  if (ReplicationGate* gate =
+          replication_gate_.load(std::memory_order_acquire);
+      gate != nullptr) {
+    resp.status = gate->check_leader();
+    if (!resp.ok()) return resp;
+  }
 
   // "Misc": decrypt and parse the session's policy from the encrypted DB
   // (or the decrypted-policy cache, when the serving layer attached one).
@@ -394,52 +477,16 @@ InstanceResponse CasService::handle_instance(const InstanceRequest& request) {
     return resp;
   }
 
-  // Verify the received common SigStruct: authentic (RSA) and from the
-  // expected signer.
-  mark = Clock::now();
-  const bool sig_ok = request.common_sigstruct.signature_valid();
-  t.verify = Clock::now() - mark;
-  if (!sig_ok) {
-    resp.status = Status(StatusCode::kBadSignature);
-    return resp;
-  }
-  if (request.common_sigstruct.mr_signer() != policy->expected_signer) {
-    resp.status = Status(StatusCode::kWrongSigner);
-    return resp;
-  }
-
-  // Cross-check the received SigStruct against the policy's base hash.
-  mark = Clock::now();
-  const sgx::Measurement expected_common =
-      core::MeasurementPredictor::predict_common(*policy->base_hash);
-  t.predict = Clock::now() - mark;
-  if (request.common_sigstruct.enclave_hash != expected_common) {
-    resp.status = Status(StatusCode::kBaseHashMismatch);
-    return resp;
-  }
+  resp.status = verify_common(*policy, request.common_sigstruct, &t);
+  if (!resp.ok()) return resp;
 
   // Mint the singleton credential (token + prediction + on-demand
-  // SigStruct) and arm its one-time token. In cluster mode the arming is
-  // a log entry: the gate answers only after a majority committed it and
-  // THIS node applied it (register_token via the log), so a credential
-  // is never released that a failover could forget.
+  // SigStruct) and arm its one-time token.
   const MintedCredential cred =
       mint_credential(*policy, request.common_sigstruct, &t);
-  if (ReplicationGate* gate =
-          replication_gate_.load(std::memory_order_acquire);
-      gate != nullptr) {
-    const Status committed =
-        gate->register_token(cred.token, request.session_name,
-                             cred.mr_enclave);
-    if (!committed.ok()) {
-      resp.status = committed;
-      return resp;
-    }
-  } else {
-    register_token(cred.token, request.session_name, cred.mr_enclave);
-  }
+  resp.status = arm_token(cred, request.session_name);
+  if (!resp.ok()) return resp;
 
-  resp.status = Status();
   resp.token = cred.token;
   resp.verifier_id = verifier_id();
   resp.singleton_sigstruct = cred.sigstruct;
@@ -461,19 +508,14 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
     last_attest_verdict_ = v;
   };
 
-  // Envelope-wrapped (v1 kAttest) or raw legacy payload, decoded without
-  // letting deserializer exceptions escape; the accept payload below
-  // answers in the flavor the peer spoke. Only protocol-level refusals
-  // ride back to the (unauthenticated) peer as typed statuses —
-  // verification failures stay the generic rejection so the handshake is
-  // no oracle; the fine-grained Verdict is server-side observability.
+  // The enveloped kAttest payload, decoded without letting deserializer
+  // exceptions escape. Only protocol-level refusals ride back to the
+  // (unauthenticated) peer as typed statuses — verification failures stay
+  // the generic rejection so the handshake is no oracle; the fine-grained
+  // Verdict is server-side observability.
   FrameInfo frame;
   const auto decoded = decode_attest_payload(client_payload, &frame);
-  // Legacy-vs-envelope classification lives here, past the encryption
-  // boundary, where the plaintext flavor is actually visible; the serving
-  // layer mirrors these into its per-command metrics at snapshot time.
-  (frame.legacy ? attest_legacy_frames_ : attest_envelope_frames_)
-      .fetch_add(1, std::memory_order_relaxed);
+  attest_envelope_frames_.fetch_add(1, std::memory_order_relaxed);
   if (!decoded.has_value()) {
     if (reject_status != nullptr && is_protocol_level(frame.status))
       *reject_status = frame.status;
@@ -523,74 +565,21 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
       verdict(Verdict::kTokenUnknown);
       return std::nullopt;
     }
-    if (ReplicationGate* gate =
-            replication_gate_.load(std::memory_order_acquire);
-        gate != nullptr) {
-      // Cluster mode. A cheap local precheck first (rejects that need no
-      // log traffic), then the spend commits through the replicated log
-      // with no lock held; apply_replicated_spend — run on every node in
-      // log order — is the authoritative mark-used. Two handshakes racing
-      // the same token may both pass the precheck and both propose; the
-      // log serializes them, the first applied spend wins everywhere, and
-      // the loser's own proposal answers kTokenReused.
-      Status spent = peek_spend(*payload.token, payload.session_name,
-                                qv.identity->mr_enclave);
-      // A local "token unknown" is only authoritative on a caught-up
-      // leader: a lagging replica (follower, or a fresh leader before
-      // its no-op applies) may simply not have applied the registration
-      // yet. Commit the spend through the log instead — it serializes
-      // after every registration, so the apply verdict is authoritative
-      // (and a follower answers kNotLeader, routing the client onward).
-      const bool local_miss_untrusted =
-          spent.code == StatusCode::kTokenUnknown && !gate->ready();
-      if (spent.ok() || local_miss_untrusted) {
-        static obs::Phase& p_spend =
-            obs::Tracer::instance().phase("token_spend");
-        obs::Span spend_span(p_spend);  // covers the replicated commit
-        spent = gate->spend_token(*payload.token, payload.session_name,
-                                  qv.identity->mr_enclave);
-      }
-      if (!spent.ok()) {
-        // kNotLeader is protocol-level, so the client learns to re-route;
-        // verification outcomes stay the generic rejection as ever.
-        if (reject_status != nullptr && is_protocol_level(spent.code))
-          *reject_status = spent.code;
-        verdict(spent.code == StatusCode::kTokenReused
-                    ? Verdict::kTokenReused
-                : spent.code == StatusCode::kTokenUnknown
-                    ? Verdict::kTokenUnknown
-                : spent.code == StatusCode::kAttestationRejected
-                    ? Verdict::kMeasurementMismatch
-                    : Verdict::kStale);  // routing/liveness refusals
-        return std::nullopt;
-      }
-    } else {
-      // Lookup, one-time check, measurement check and spend are one
-      // critical section *inside the token's stripe*: two attestations
-      // racing on the same token hash to the same stripe and serialize
-      // there, so exactly one can ever flip `used`; attestations of
-      // different tokens proceed on different stripes in parallel.
-      static obs::Phase& p_spend =
-          obs::Tracer::instance().phase("token_spend");
-      obs::Span spend_span(p_spend);  // covers stripe-lock wait + spend
-      TokenStripe& stripe = token_stripe(*payload.token);
-      MutexLock lock(stripe.m);
-      const auto it = stripe.tokens.find(*payload.token);
-      if (it == stripe.tokens.end() ||
-          it->second.session_name != payload.session_name) {
-        verdict(Verdict::kTokenUnknown);
-        return std::nullopt;
-      }
-      if (it->second.used) {
-        verdict(Verdict::kTokenReused);
-        return std::nullopt;
-      }
-      if (qv.identity->mr_enclave != it->second.expected_mr) {
-        verdict(Verdict::kMeasurementMismatch);
-        return std::nullopt;
-      }
-      it->second.used = true;  // singleton: this token never attests again
-      ++stripe.used;
+    const Status spent = spend_token(*payload.token, payload.session_name,
+                                     qv.identity->mr_enclave);
+    if (!spent.ok()) {
+      // kNotLeader is protocol-level, so the client learns to re-route;
+      // verification outcomes stay the generic rejection as ever.
+      if (reject_status != nullptr && is_protocol_level(spent.code))
+        *reject_status = spent.code;
+      verdict(spent.code == StatusCode::kTokenReused
+                  ? Verdict::kTokenReused
+              : spent.code == StatusCode::kTokenUnknown
+                  ? Verdict::kTokenUnknown
+              : spent.code == StatusCode::kAttestationRejected
+                  ? Verdict::kMeasurementMismatch
+                  : Verdict::kStale);  // routing/liveness refusals
+      return std::nullopt;
     }
   } else {
     if (!policy->expected_mr_enclave.has_value() ||
@@ -606,7 +595,6 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
   }
 
   verdict(Verdict::kOk);
-  if (frame.legacy) return to_bytes("attested");
   Envelope accept;
   accept.command = Command::kAttest;
   accept.request_id = frame.request_id;
@@ -616,20 +604,8 @@ std::optional<Bytes> CasService::on_handshake(ByteView client_payload,
 
 Bytes CasService::on_request(std::uint64_t session_id, ByteView plaintext) {
   static obs::Phase& p_serve = obs::Tracer::instance().phase("config_serve");
-  FrameInfo frame;
-  Bytes out;
-  {
-    obs::Span span(p_serve);
-    out = serve_config_frame_inner(session_id, plaintext, &frame);
-  }
-  (frame.legacy ? config_legacy_frames_ : config_envelope_frames_)
-      .fetch_add(1, std::memory_order_relaxed);
-  return out;
-}
-
-Bytes CasService::serve_config_frame_inner(std::uint64_t session_id,
-                                           ByteView plaintext,
-                                           FrameInfo* frame) {
+  config_envelope_frames_.fetch_add(1, std::memory_order_relaxed);
+  obs::Span span(p_serve);
   return serve_config_frame(plaintext, [this, session_id]() {
     ConfigResponse resp;
     std::string session_name;
@@ -652,14 +628,12 @@ Bytes CasService::serve_config_frame_inner(std::uint64_t session_id,
     resp.status = Status();
     resp.config = policy->config;
     return resp;
-  }, frame);
+  });
 }
 
 CasService::SecureFrameStats CasService::secure_frame_stats() const {
   SecureFrameStats s;
-  s.attest_legacy = attest_legacy_frames_.load(std::memory_order_relaxed);
   s.attest_envelope = attest_envelope_frames_.load(std::memory_order_relaxed);
-  s.config_legacy = config_legacy_frames_.load(std::memory_order_relaxed);
   s.config_envelope = config_envelope_frames_.load(std::memory_order_relaxed);
   return s;
 }

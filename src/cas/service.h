@@ -53,8 +53,7 @@ namespace sinclave::cas {
 // The seed-era `cas::errors` string constants are gone: retrieval
 // refusals are StatusCodes now, and the (single) human-readable text for
 // each code lives in common/status.h's status_message table — the two
-// serving frontends and the legacy (v0) wire encoding all draw from it,
-// so they cannot drift.
+// serving frontends both draw from it, so they cannot drift.
 
 /// Per-session verification policy, stored encrypted in the CAS database.
 struct Policy {
@@ -109,6 +108,11 @@ struct MintedCredential {
 class ReplicationGate {
  public:
   virtual ~ReplicationGate() = default;
+  /// Whether this replica may take writes right now: ok, or the refusal
+  /// (kNotLeader with the leader hint; kUnavailable when stopped).
+  /// handle_instance asks this first, so a follower signs nothing.
+  /// Defaults to ok.
+  virtual Status check_leader() const { return Status(); }
   /// Replicate the arming of a minted token. Ok only once committed
   /// cluster-wide; kNotLeader (with leader hint) when this node cannot
   /// commit writes; kUnavailable when no majority answers in time.
@@ -187,6 +191,16 @@ class CasService {
   /// Direct entry points (benchmarks call these without the network).
   InstanceResponse handle_instance(const InstanceRequest& request);
 
+  /// Check a received common SigStruct against `policy`: RSA signature,
+  /// signer pin, and the base-hash prediction of the common MRENCLAVE.
+  /// Returns the typed refusal (kBadSignature, kWrongSigner,
+  /// kBaseHashMismatch) or ok. `policy` must carry a base hash (see
+  /// check_retrieval_preconditions). `timings` (when given) accumulates
+  /// the verify/predict breakdown.
+  Status verify_common(const Policy& policy,
+                       const sgx::SigStruct& common_sigstruct,
+                       InstanceTimings* timings = nullptr) const;
+
   /// Predict + sign a fresh singleton credential for `policy` against the
   /// given verified common SigStruct. Pure minting: the token is NOT yet
   /// registered and cannot attest. `policy` must be singleton-configured
@@ -215,9 +229,17 @@ class CasService {
                       const std::string& session_name,
                       const sgx::Measurement& expected_mr);
 
+  /// Arm a minted credential for `session_name` on the serving path:
+  /// through the replication gate when one is attached (ok only once a
+  /// majority committed it and this node applied it, so a failover cannot
+  /// forget a released credential), else locally via register_token.
+  /// Both frontends call this exactly once per served credential.
+  Status arm_token(const MintedCredential& cred,
+                   const std::string& session_name);
+
   /// Attach (or detach, nullptr) the replication gate. Not owned; must
-  /// outlive serving. With a gate attached, handle_instance and the
-  /// attested handshake commit token transitions through it (see
+  /// outlive serving. With a gate attached, arm_token (either frontend)
+  /// and the attested handshake commit token transitions through it (see
   /// ReplicationGate).
   void set_replication_gate(ReplicationGate* gate);
 
@@ -273,19 +295,16 @@ class CasService {
 
   /// The unified metrics registry every layer's collectors plug into:
   /// CasService registers its own collector (tokens, secure-channel
-  /// counters, legacy/envelope frame split) at construction, and serving
+  /// counters, secure frame counts) at construction, and serving
   /// frontends (server::CasServer) add theirs on top. Snapshots are cold;
   /// nothing on the record path touches this.
   obs::MetricsRegistry& metrics_registry() { return registry_; }
 
-  /// Legacy-vs-envelope classification of the secure endpoint's frames.
-  /// The split happens here — past the encryption boundary — because the
-  /// serving layer only sees ciphertext (the documented legacy_frames gap
-  /// in server/metrics.h). Counted per frame served, including rejects.
+  /// Frames the secure endpoint decoded past the encryption boundary
+  /// (the serving layer only sees ciphertext), per command. Counted per
+  /// frame served, including rejects.
   struct SecureFrameStats {
-    std::uint64_t attest_legacy = 0;
     std::uint64_t attest_envelope = 0;
-    std::uint64_t config_legacy = 0;
     std::uint64_t config_envelope = 0;
   };
   SecureFrameStats secure_frame_stats() const;
@@ -301,15 +320,25 @@ class CasService {
                                     std::uint64_t session_id,
                                     StatusCode* reject_status);
   Bytes on_request(std::uint64_t session_id, ByteView plaintext);
-  Bytes serve_config_frame_inner(std::uint64_t session_id, ByteView plaintext,
-                                 FrameInfo* frame);
   void ensure_secure_server();
+  /// The attested handshake's token spend: through the replication gate
+  /// when one is attached, else one local critical section.
+  Status spend_token(const core::AttestationToken& token,
+                     const std::string& session_name,
+                     const sgx::Measurement& mr_enclave);
 
   struct PendingToken {
     std::string session_name;
     sgx::Measurement expected_mr;
     bool used = false;
   };
+  /// The one token check every spend path shares: the typed refusal a
+  /// spend of `pending` (nullptr: never armed here) by `session_name`
+  /// with `mr_enclave` earns — kTokenUnknown, kTokenReused,
+  /// kAttestationRejected on a measurement mismatch — or ok.
+  static Status check_token(const PendingToken* pending,
+                            const std::string& session_name,
+                            const sgx::Measurement& mr_enclave);
 
   /// One shard of the token-spend store. Lookup, one-time check,
   /// measurement check, and spend of a token all happen inside its
@@ -374,10 +403,8 @@ class CasService {
   InstanceTimings last_timings_ GUARDED_BY(observe_mutex_);
   Verdict last_attest_verdict_ GUARDED_BY(observe_mutex_) = Verdict::kOk;
 
-  /// Secure-endpoint frame classification (see SecureFrameStats).
-  std::atomic<std::uint64_t> attest_legacy_frames_{0};
+  /// Secure-endpoint frame counts (see SecureFrameStats).
   std::atomic<std::uint64_t> attest_envelope_frames_{0};
-  std::atomic<std::uint64_t> config_legacy_frames_{0};
   std::atomic<std::uint64_t> config_envelope_frames_{0};
 
   obs::MetricsRegistry registry_;

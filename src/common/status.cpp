@@ -51,9 +51,9 @@ StatusCode status_code_from_wire(std::uint8_t code) {
 }
 
 const char* status_message(StatusCode code) {
-  // The texts for the retrieval outcomes are the seed-era `cas::errors`
-  // strings verbatim: legacy (v0) peers receive them unchanged, and the
-  // legacy decode path reverse-maps them back to codes.
+  // Peers decide on the status code byte, never on this text: a response
+  // carries the code plus optional detail, and Status::message() falls
+  // back to this table on the receiving side.
   switch (code) {
     case StatusCode::kOk:
       return "ok";

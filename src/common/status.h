@@ -74,8 +74,8 @@ const char* to_string(StatusCode code);
 /// assume the enum is exhaustive.
 StatusCode status_code_from_wire(std::uint8_t code);
 
-/// Canonical human-readable message for a code — the single source the
-/// serving frontends and the legacy (v0) wire encoding draw from.
+/// Canonical human-readable message for a code — the single source both
+/// serving frontends and the client SDK draw from.
 const char* status_message(StatusCode code);
 
 /// Canonical detail composers for statuses that carry a structured hint.

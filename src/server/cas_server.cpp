@@ -12,11 +12,10 @@ namespace sinclave::server {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Answer a frame with a blanket refusal (shed / deadline-exceeded) in
-/// whatever wire flavor it arrived in: serve_instance_frame handles
-/// envelope, legacy, and introspect frames alike and never throws on
-/// malformed input — so overload answers are as typed and parseable as
-/// served ones, at frame-decode cost only.
+/// Answer a frame with a blanket refusal (shed / deadline-exceeded):
+/// serve_instance_frame handles instance and introspect frames alike and
+/// never throws on malformed input — so overload answers are as typed and
+/// parseable as served ones, at frame-decode cost only.
 Bytes refusal_frame(const Bytes& raw, const Status& status,
                     cas::FrameInfo* frame) {
   return cas::serve_instance_frame(
@@ -45,17 +44,12 @@ CasServer::CasServer(cas::CasService* cas, CasServerConfig config)
   if (cas_ == nullptr) throw Error("server: cas service required");
   cas_->set_policy_cache(&policy_store_);
   // Every registry snapshot pulls this frontend's counters — and first
-  // refreshes the secure-channel mirrors and the legacy-frame split that
-  // only CasService (past the encryption boundary) can classify, so an
-  // export is never stale no matter how long ago anyone last called
-  // refresh_secure_metrics() by hand.
+  // refreshes the secure-channel mirrors, so an export is never stale no
+  // matter how long ago anyone last called refresh_secure_metrics() by
+  // hand.
   collector_id_ = cas_->metrics_registry().add_collector(
       [this](obs::MetricsSnapshot& snap) {
         refresh_secure_metrics();
-        const auto frames = cas_->secure_frame_stats();
-        atomic_fetch_max(metrics_.attest.legacy_frames, frames.attest_legacy);
-        atomic_fetch_max(metrics_.get_config.legacy_frames,
-                         frames.config_legacy);
         metrics_.collect(snap);
         snap.counter("policy_cache_hits", policy_store_.hits());
         snap.counter("policy_cache_misses", policy_store_.misses());
@@ -178,7 +172,6 @@ void CasServer::respond(Clock::time_point accepted,
 
 void CasServer::note_frame(CommandMetrics& command,
                            const cas::FrameInfo& frame) {
-  if (frame.legacy) ++command.legacy_frames;
   switch (frame.status) {
     case StatusCode::kMalformedRequest:
       ++metrics_.malformed_frames;
@@ -235,10 +228,10 @@ void CasServer::accept_instance(Bytes raw, net::SimNetwork::Completion done) {
   const auto deadline = accepted + config_.request_deadline;
   auto job = [this, raw = std::move(raw), done, accepted, deadline, ctx,
               accepted_ns]() mutable {
-    // Stage 2 — serve, on a worker: decode (envelope or legacy) + policy
-    // + verify + credential. serve_instance_frame contains deserializer
-    // failures — a malformed or truncated frame answers a typed
-    // kMalformedRequest, it can never escape this worker as an exception.
+    // Stage 2 — serve, on a worker: decode + policy + verify + credential.
+    // serve_instance_frame contains deserializer failures — a malformed or
+    // truncated frame answers a typed kMalformedRequest, it can never
+    // escape this worker as an exception.
     if (ctx.active()) {
       obs::Tracer::instance().record_phase_span(p_queue, ctx, accepted_ns,
                                                 obs::Tracer::now_ns(), 1);
@@ -439,9 +432,8 @@ cas::InstanceResponse CasServer::handle_instance(
   return resp;
 }
 
-bool CasServer::check_common(const cas::Policy& policy,
-                             const cas::InstanceRequest& request,
-                             Status* status) {
+Status CasServer::check_common(const cas::Policy& policy,
+                               const sgx::SigStruct& common) {
   bool flush_stale_pool = false;
   bool verified = false;
   {
@@ -456,7 +448,7 @@ bool CasServer::check_common(const cas::Policy& policy,
         // memo itself and any pooled pre-minted credentials — is stale.
         verified_common_.erase(it);
         flush_stale_pool = true;
-      } else if (it->second.sigstruct == request.common_sigstruct) {
+      } else if (it->second.sigstruct == common) {
         verified = true;  // repeat retrieval: skip the RSA verification
       }
       // Same base hash + signer but a different SigStruct (re-signed
@@ -465,33 +457,20 @@ bool CasServer::check_common(const cas::Policy& policy,
     }
   }
   if (flush_stale_pool) sigstruct_cache_.flush(policy.session_name);
-  if (verified) return true;
+  if (verified) return Status();
 
-  if (!request.common_sigstruct.signature_valid()) {
-    *status = Status(StatusCode::kBadSignature);
-    return false;
-  }
-  if (request.common_sigstruct.mr_signer() != policy.expected_signer) {
-    *status = Status(StatusCode::kWrongSigner);
-    return false;
-  }
-  const sgx::Measurement expected_common =
-      core::MeasurementPredictor::predict_common(*policy.base_hash);
-  if (request.common_sigstruct.enclave_hash != expected_common) {
-    *status = Status(StatusCode::kBaseHashMismatch);
-    return false;
-  }
+  const Status status = cas_->verify_common(policy, common);
+  if (!status.ok()) return status;
   bool replaced_same_base = false;
   {
     MutexLock lock(verified_mutex_);
     auto& entry = verified_common_[policy.session_name];
-    replaced_same_base = entry.base_hash == *policy.base_hash &&
-                         !(entry.sigstruct == request.common_sigstruct);
-    entry = VerifiedCommon{*policy.base_hash, policy.expected_signer,
-                           request.common_sigstruct};
+    replaced_same_base =
+        entry.base_hash == *policy.base_hash && !(entry.sigstruct == common);
+    entry = VerifiedCommon{*policy.base_hash, policy.expected_signer, common};
   }
   if (replaced_same_base) sigstruct_cache_.flush(policy.session_name);
-  return true;
+  return status;
 }
 
 cas::InstanceResponse CasServer::serve_instance(
@@ -512,7 +491,8 @@ cas::InstanceResponse CasServer::serve_instance(
   }
   {
     obs::Span span(p_verify);
-    if (!check_common(*policy, request, &resp.status)) return resp;
+    resp.status = check_common(*policy, request.common_sigstruct);
+    if (!resp.ok()) return resp;
   }
   obs::Span cred_span(p_cred);
 
@@ -548,13 +528,14 @@ cas::InstanceResponse CasServer::serve_instance(
     cred = cas_->mint_credential(*policy, request.common_sigstruct);
   }
 
-  // Arm the one-time token. Pre-minted or not, a credential reaches this
-  // line exactly once (the pool pop is exclusive), so each token is
-  // registered exactly once.
-  cas_->register_token(cred.token, request.session_name, cred.mr_enclave);
+  // Arm the one-time token (through the replication gate, if any).
+  // Pre-minted or not, a credential reaches this line exactly once (the
+  // pool pop is exclusive), so each token is armed at most once; a refused
+  // arming discards the credential unserved.
+  resp.status = cas_->arm_token(cred, request.session_name);
+  if (!resp.ok()) return resp;
   ++metrics_.tokens_issued;
 
-  resp.status = Status();
   resp.token = cred.token;
   resp.verifier_id = cas_->verifier_id();
   resp.singleton_sigstruct = cred.sigstruct;
@@ -633,11 +614,7 @@ std::size_t CasServer::premint(const std::string& session,
   if (!policy.has_value() ||
       cas_->check_retrieval_preconditions(*policy).has_value())
     return 0;
-  cas::InstanceRequest probe;
-  probe.session_name = session;
-  probe.common_sigstruct = common_sigstruct;
-  Status status;
-  if (!check_common(*policy, probe, &status)) return 0;
+  if (!check_common(*policy, common_sigstruct).ok()) return 0;
 
   // Warm-up minting is batched too, chunked so one premint call cannot
   // monopolize the RNG lock for an unbounded stretch.

@@ -38,9 +38,9 @@
 //     high-water mark, and latency histograms with p50/p99.
 //
 // Security invariants are inherited, not relaxed: every issued token is
-// registered exactly once with CasService's mutex-guarded token table, so
-// one-time-token and singleton guarantees hold under any interleaving
-// (tests/test_server.cpp races them).
+// armed exactly once through CasService::arm_token (its replication gate,
+// when one is attached), so one-time-token and singleton guarantees hold
+// under any interleaving (tests/test_server.cpp races them).
 #pragma once
 
 #include <chrono>
@@ -162,10 +162,9 @@ class CasServer {
   };
 
   cas::InstanceResponse serve_instance(const cas::InstanceRequest& request);
-  /// Checks the request's common SigStruct (memoized). Returns false and
-  /// fills `status` with the typed refusal on rejection.
-  bool check_common(const cas::Policy& policy,
-                    const cas::InstanceRequest& request, Status* status);
+  /// CasService::verify_common behind a per-session memo: returns the
+  /// typed refusal, or ok.
+  Status check_common(const cas::Policy& policy, const sgx::SigStruct& common);
   /// Fold one decoded frame's facts into the per-command counters.
   void note_frame(CommandMetrics& command, const cas::FrameInfo& frame);
 

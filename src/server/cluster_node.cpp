@@ -139,29 +139,9 @@ void ClusterNode::start() {
     throw;
   }
 
-  net_->listen(address_ + ".instance", [this](ByteView raw) {
-    return cas::serve_instance_frame(
-        raw,
-        [this](const cas::InstanceRequest& req) {
-          return handle_instance(req);
-        },
-        [this](const cas::IntrospectRequest& req) {
-          cas::CasService* cas;
-          {
-            MutexLock l(lifecycle_);
-            cas = cas_.get();
-          }
-          return cas->handle_introspect(req);
-        });
-  });
-  net_->listen(address_, [this](ByteView raw) {
-    cas::CasService* cas;
-    {
-      MutexLock l(lifecycle_);
-      cas = cas_.get();
-    }
-    return cas->handle_secure(raw);
-  });
+  // The same two endpoints, framing and trace roots as a single node; the
+  // follower refusal rides the gate (check_leader).
+  cas_->bind(*net_, address_);
 
   running_ = true;
   if (config_.session_idle_ttl.count() > 0) arm_sweep_locked();
@@ -248,6 +228,21 @@ Status ClusterNode::spend_token(const core::AttestationToken& token,
   return raft->propose(cas::LogCommand::kSpendToken, cmd.serialize());
 }
 
+Status ClusterNode::check_leader() const {
+  cas::RaftCore* raft;
+  {
+    MutexLock lock(lifecycle_);
+    if (raft_ == nullptr) {
+      return Status(StatusCode::kUnavailable, "cluster: stopped");
+    }
+    raft = raft_.get();
+  }
+  if (raft->is_leader()) return Status();
+  // Writes need the log: bounce with the best-known leader address so the
+  // client re-routes instead of backing off.
+  return Status(StatusCode::kNotLeader, not_leader_detail(raft->leader_hint()));
+}
+
 bool ClusterNode::ready() const {
   cas::RaftCore* raft;
   {
@@ -256,26 +251,6 @@ bool ClusterNode::ready() const {
     raft = raft_.get();
   }
   return raft->ready();
-}
-
-cas::InstanceResponse ClusterNode::handle_instance(
-    const cas::InstanceRequest& request) {
-  cas::CasService* cas;
-  cas::RaftCore* raft;
-  {
-    MutexLock lock(lifecycle_);
-    cas = cas_.get();
-    raft = raft_.get();
-  }
-  if (!raft->is_leader()) {
-    // Writes need the log: bounce with the best-known leader address so
-    // the client re-routes instead of backing off.
-    cas::InstanceResponse resp;
-    resp.status =
-        Status(StatusCode::kNotLeader, not_leader_detail(raft->leader_hint()));
-    return resp;
-  }
-  return cas->handle_instance(request);
 }
 
 }  // namespace sinclave::server

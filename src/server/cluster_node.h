@@ -5,10 +5,11 @@
 //
 // Responsibilities:
 //   * serve the usual two client endpoints (`<address>.instance`, plain;
-//     `<address>`, secure) with LEADER GATING on writes: a follower
-//     answers singleton retrieval with kNotLeader carrying the leader
-//     hint, while introspection — and, via get_policy on an attached
-//     cache, reads generally — is served by every replica;
+//     `<address>`, secure) through CasService::bind, with LEADER GATING on
+//     writes via check_leader: a follower answers singleton retrieval
+//     with kNotLeader carrying the leader hint, while introspection — and,
+//     via get_policy on an attached cache, reads generally — is served by
+//     every replica;
 //   * implement the ReplicationGate: token arming and token spends are
 //     proposed into the replicated log and only applied (on every node,
 //     in log order) once majority-committed;
@@ -82,7 +83,9 @@ class ClusterNode : public cas::ReplicationGate {
   Status install_policy(const cas::Policy& policy);
 
   /// ReplicationGate: called by this node's CasService on the serving
-  /// paths, with no CAS lock held.
+  /// paths, with no CAS lock held. check_leader is ok only while this
+  /// node leads, and kNotLeader with the leader hint otherwise.
+  Status check_leader() const override;
   Status register_token(const core::AttestationToken& token,
                         const std::string& session_name,
                         const sgx::Measurement& expected_mr) override;
@@ -111,7 +114,6 @@ class ClusterNode : public cas::ReplicationGate {
   cas::MonotonicCounter& counter() { return counter_; }
 
  private:
-  cas::InstanceResponse handle_instance(const cas::InstanceRequest& request);
   void arm_sweep_locked() REQUIRES(lifecycle_);
 
   net::SimNetwork* net_;

@@ -17,7 +17,6 @@ void ServerMetrics::collect(obs::MetricsSnapshot& snap) const {
     const std::string base(name);
     snap.counter(base + "_requests", cmd.requests.load());
     snap.counter(base + "_errors", cmd.errors.load());
-    snap.counter(base + "_legacy_frames", cmd.legacy_frames.load());
     snap.histogram(base + "_latency", cmd.latency);
   };
   command("get_instance", get_instance);

@@ -27,12 +27,6 @@ struct CommandMetrics {
   /// count only transport-visible failures — their payload statuses are
   /// not observable at this layer).
   std::atomic<std::uint64_t> errors{0};
-  /// Requests served on the legacy (v0, pre-envelope) decode path.
-  /// get_instance counts these at the serving layer; the secure
-  /// endpoint's frames are classified inside CasService (past the
-  /// encryption boundary) and mirrored into the attest/get_config
-  /// counters whenever the registry snapshots (never per record).
-  std::atomic<std::uint64_t> legacy_frames{0};
   LatencyHistogram latency;
 };
 

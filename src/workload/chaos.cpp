@@ -232,7 +232,7 @@ ChaosScenarioResult scenario_mid_handshake(const ChaosConfig& cfg) {
     try {
       const auto accepted =
           client.connect(fx.bed.network().connect(fx.bed.cas_address()),
-                         fx.bed.cas().identity(), payload.serialize());
+                         fx.bed.cas().identity(), payload.enveloped());
       if (accepted.has_value()) {
         out.ok.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -349,7 +349,7 @@ ChaosScenarioResult scenario_replay_storm(const ChaosConfig& cfg) {
       try {
         const auto outcome =
             a.client->connect(fx.bed.network().connect(fx.bed.cas_address()),
-                              fx.bed.cas().identity(), a.payload.serialize());
+                              fx.bed.cas().identity(), a.payload.enveloped());
         if (outcome.has_value()) {
           out.ok.fetch_add(1, std::memory_order_relaxed);
           accepted[a.token_index].fetch_add(1, std::memory_order_relaxed);

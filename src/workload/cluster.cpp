@@ -187,7 +187,7 @@ ClusterBed::AttestedSpend ClusterBed::spend_once(const PreparedToken& prepared,
   try {
     const std::optional<Bytes> accepted =
         channel.connect(net_.connect(target), identity_.public_key(),
-                        payload.serialize(), &reject);
+                        payload.enveloped(), &reject);
     if (accepted.has_value()) {
       out.attested = true;
       return out;

@@ -185,7 +185,7 @@ TEST_F(AttackTest, StolenQuoteWithoutChannelBindingRejected) {
   payload.quote = *quote;
   const auto accepted =
       client.connect(bed_.network().connect(bed_.cas_address()),
-                     bed_.cas().identity(), payload.serialize());
+                     bed_.cas().identity(), payload.enveloped());
   EXPECT_FALSE(accepted.has_value());
   EXPECT_EQ(bed_.cas().last_attest_verdict(), Verdict::kPolicyViolation);
 }

@@ -343,7 +343,7 @@ TEST(CasTokenStripes, ExactlyOnceSpendUnderCrossStripeRaces) {
     racers.emplace_back([&bed, &accepted, &rejected, &a] {
       const auto outcome =
           a.client->connect(bed.net.connect("cas"), bed.cas.identity(),
-                            a.payload.serialize());
+                            a.payload.enveloped());
       if (outcome.has_value())
         ++accepted[static_cast<std::size_t>(a.token_index)];
       else
@@ -377,7 +377,7 @@ TEST(CasHandshake, BadClientKeyIsRejectedBeforeTheTokenIsSpent) {
     handshake.u8(0);  // handshake record
     handshake.bytes(bad_key);
     handshake.bytes(
-        bed.payload_bound_to(enclave, resp.token, bad_key).serialize());
+        bed.payload_bound_to(enclave, resp.token, bad_key).enveloped());
     const Bytes reply = bed.net.connect("cas").call(handshake.data());
     ASSERT_EQ(reply.size(), 2u);
     EXPECT_EQ(reply[0], 0);  // rejected
@@ -391,7 +391,7 @@ TEST(CasHandshake, BadClientKeyIsRejectedBeforeTheTokenIsSpent) {
   const auto accepted = good.connect(
       bed.net.connect("cas"), bed.cas.identity(),
       bed.payload_bound_to(enclave, resp.token, good.dh_public())
-          .serialize());
+          .enveloped());
   EXPECT_TRUE(accepted.has_value());
   EXPECT_EQ(bed.cas.tokens_used(), 1u);
   EXPECT_EQ(bed.cas.tokens_outstanding(), 0u);
@@ -436,69 +436,27 @@ TEST(Protocol, EnvelopeRoundTrip) {
   EXPECT_TRUE(Envelope::matches(e.serialize()));
 }
 
-TEST(Protocol, EnvelopeNeverMatchesLegacyFrames) {
-  // A legacy instance request starts with the u32 length of its session
-  // name; for the magic to collide the name would have to be ~3.2 GB.
+TEST(Protocol, BareMessageIsNotAnEnvelope) {
+  // A bare InstanceRequest starts with the u32 length of its session name;
+  // for the magic to collide the name would have to be ~3.2 GB.
   InstanceRequest req;
   req.session_name = "ordinary-session";
   EXPECT_FALSE(Envelope::matches(req.serialize()));
-  // Legacy secure-channel plaintext is a single command byte.
+  EXPECT_THROW(Envelope::deserialize(req.serialize()), ParseError);
   EXPECT_FALSE(Envelope::matches(Bytes{1}));
   EXPECT_FALSE(Envelope::matches(Bytes{}));
 }
 
-TEST(Protocol, V0ResponseEncodingMatchesSeedLayout) {
-  // The v0 encoding is the seed-era wire format bit for bit: a legacy
-  // decoder reading `u8 ok | str error | token | verifier id | bytes sig`
-  // must keep working.
-  InstanceResponse r;
-  r.status = Status(StatusCode::kUnknownSession);
-  const Bytes wire = r.serialize_v0();
-  ByteReader reader(wire);
-  EXPECT_EQ(reader.u8(), 0u);                        // ok = false
-  EXPECT_EQ(reader.str(), "unknown session");        // canonical message
-  (void)reader.raw(32);                              // token
-  (void)reader.raw(32);                              // verifier id
-  EXPECT_TRUE(reader.bytes().empty());               // no sigstruct
-  reader.expect_done();
-
-  const InstanceResponse back = InstanceResponse::deserialize_v0(wire);
-  EXPECT_EQ(back.status.code, StatusCode::kUnknownSession);
-}
-
-TEST(Protocol, LegacyErrorStringsMapBackToCodes) {
-  for (const StatusCode code :
-       {StatusCode::kUnknownSession, StatusCode::kNotSingleton,
-        StatusCode::kNoSignerKey, StatusCode::kBadSignature,
-        StatusCode::kWrongSigner, StatusCode::kBaseHashMismatch}) {
-    EXPECT_EQ(status_code_from_legacy(status_message(code)), code)
-        << to_string(code);
-  }
-  // Unknown strings survive as kInternal with the text preserved.
-  EXPECT_EQ(status_code_from_legacy("weird bespoke failure"),
-            StatusCode::kInternal);
-  InstanceResponse r;
-  r.status = Status(StatusCode::kInternal, "weird bespoke failure");
-  const InstanceResponse back =
-      InstanceResponse::deserialize_v0(r.serialize_v0());
-  EXPECT_EQ(back.status.code, StatusCode::kInternal);
-  EXPECT_EQ(back.status.message(), "weird bespoke failure");
-}
-
-TEST(Protocol, ConfigResponseRoundTripsBothEncodings) {
+TEST(Protocol, ConfigResponseRoundTrips) {
   ConfigResponse ok;
   ok.status = Status();
   ok.config.program = "prog";
   ok.config.secrets["k"] = Bytes{9, 9};
   EXPECT_EQ(ConfigResponse::deserialize(ok.serialize()).config, ok.config);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(ok.serialize_v0()).config,
-            ok.config);
 
   ConfigResponse denied;
   denied.status = Status(StatusCode::kSessionNotAttested);
   EXPECT_EQ(ConfigResponse::deserialize(denied.serialize()).status.code,
-            StatusCode::kSessionNotAttested);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(denied.serialize_v0()).status.code,
             StatusCode::kSessionNotAttested);
 }
 
@@ -547,36 +505,6 @@ TEST(Protocol, AttestPayloadTokenOptional) {
   without.quote = q;
   EXPECT_FALSE(
       AttestPayload::deserialize(without.serialize()).token.has_value());
-}
-
-TEST(Protocol, LegacyConfigFrameToleratesTrailingBytesLikeTheSeed) {
-  // The seed decoder read only the command byte from the secure-channel
-  // plaintext; padding after it must still be served, not refused.
-  bool served = false;
-  const auto handler = [&]() {
-    served = true;
-    ConfigResponse resp;
-    resp.status = Status();
-    return resp;
-  };
-  FrameInfo info;
-  const Bytes padded{1, 0xaa, 0xbb};
-  const auto resp =
-      ConfigResponse::deserialize_v0(serve_config_frame(padded, handler,
-                                                        &info));
-  EXPECT_TRUE(served);
-  EXPECT_TRUE(resp.ok());
-  EXPECT_TRUE(info.legacy);
-
-  // Unknown legacy command byte and empty plaintext stay typed refusals.
-  EXPECT_EQ(ConfigResponse::deserialize_v0(
-                serve_config_frame(Bytes{9}, handler))
-                .status.code,
-            StatusCode::kUnknownCommand);
-  EXPECT_EQ(ConfigResponse::deserialize_v0(
-                serve_config_frame(Bytes{}, handler))
-                .status.code,
-            StatusCode::kMalformedRequest);
 }
 
 TEST(Protocol, MalformedBytesThrowParseError) {
@@ -634,14 +562,10 @@ TEST(Protocol, TruncationAndBitFlipFuzzStaysInsideErrorHierarchy) {
        [](ByteView b) { (void)InstanceRequest::deserialize(b); }},
       {"instance-response", ok_resp.serialize(),
        [](ByteView b) { (void)InstanceResponse::deserialize(b); }},
-      {"instance-response-v0", ok_resp.serialize_v0(),
-       [](ByteView b) { (void)InstanceResponse::deserialize_v0(b); }},
       {"attest-payload", attest.serialize(),
        [](ByteView b) { (void)AttestPayload::deserialize(b); }},
       {"config-response", cfg.serialize(),
        [](ByteView b) { (void)ConfigResponse::deserialize(b); }},
-      {"config-response-v0", cfg.serialize_v0(),
-       [](ByteView b) { (void)ConfigResponse::deserialize_v0(b); }},
       {"app-config", cfg.config.serialize(),
        [](ByteView b) { (void)AppConfig::deserialize(b); }},
   };

@@ -2,8 +2,8 @@
 //  * sync + async retrieval through the typed client,
 //  * retry-with-backoff on retryable statuses; typed refusals returned
 //    immediately,
-//  * version negotiation: legacy v0 peers still served, future-version
-//    frames answered with kUnsupportedVersion, unknown commands and
+//  * version negotiation: future-version frames answered with
+//    kUnsupportedVersion; unknown commands, non-envelope frames and
 //    malformed payloads answered typed (never dropped),
 //  * the frontends never leak deserializer exceptions for hostile frames
 //    (network-level truncation/bit-flip fuzz),
@@ -23,6 +23,7 @@
 #include "cas/client.h"
 #include "core/signer.h"
 #include "crypto/sha256.h"
+#include "runtime/starter.h"
 #include "server/cas_server.h"
 #include "workload/testbed.h"
 
@@ -155,30 +156,15 @@ TEST_F(CasClientTest, AsyncDispatchFailureDeliversTypedUnavailable) {
 // --- version negotiation ----------------------------------------------------
 
 /// Raw-frame helper: send `frame` to the instance endpoint and decode the
-/// (always well-formed) reply in whichever flavor came back.
+/// (always enveloped) reply.
 InstanceResponse raw_instance_exchange(net::SimNetwork& net,
                                        const std::string& address,
                                        const Bytes& frame,
                                        Envelope* reply_env = nullptr) {
   auto conn = net.connect(address + ".instance");
-  const Bytes raw = conn.call(frame);
-  if (Envelope::matches(raw)) {
-    const Envelope env = Envelope::deserialize(raw);
-    if (reply_env != nullptr) *reply_env = env;
-    return InstanceResponse::deserialize(env.payload);
-  }
-  return InstanceResponse::deserialize_v0(raw);
-}
-
-TEST_F(CasClientTest, LegacyV0PeerStillServedByServiceFrontend) {
-  InstanceRequest req;
-  req.session_name = "s";
-  req.common_sigstruct = signed_.sigstruct;
-  // v0 wire = the raw request, answered in the v0 layout.
-  const InstanceResponse resp = raw_instance_exchange(
-      bed_.network(), bed_.cas_address(), req.serialize());
-  ASSERT_TRUE(resp.ok()) << resp.status.message();
-  EXPECT_TRUE(resp.singleton_sigstruct.signature_valid());
+  const Envelope env = Envelope::deserialize(conn.call(frame));
+  if (reply_env != nullptr) *reply_env = env;
+  return InstanceResponse::deserialize(env.payload);
 }
 
 TEST_F(CasClientTest, FutureVersionFrameAnsweredUnsupportedVersion) {
@@ -240,10 +226,10 @@ TEST_F(CasClientTest, MalformedFramesAnsweredTypedByBothFrontends) {
 
   for (const std::string& address :
        {std::string(bed_.cas_address()), std::string("pooled")}) {
-    // Garbage that is not an envelope: legacy decode fails -> v0 answer.
-    const InstanceResponse legacy = raw_instance_exchange(
+    // Garbage that is not an envelope: typed answer all the same.
+    const InstanceResponse bare = raw_instance_exchange(
         bed_.network(), address, Bytes(16, 0xee));
-    EXPECT_EQ(legacy.status.code, StatusCode::kMalformedRequest) << address;
+    EXPECT_EQ(bare.status.code, StatusCode::kMalformedRequest) << address;
 
     // An envelope whose payload is garbage: typed v1 answer.
     Envelope env;
@@ -259,10 +245,75 @@ TEST_F(CasClientTest, MalformedFramesAnsweredTypedByBothFrontends) {
   server.unbind();
 }
 
+TEST_F(CasClientTest, NonEnvelopeFramesRefusedMalformedOnEveryEndpoint) {
+  // Bare (unenveloped) messages on all three endpoints, through both
+  // frontends: each gets the typed kMalformedRequest, and a bare handshake
+  // payload spends nothing.
+  server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 2});
+  server.bind(bed_.network(), "pooled");
+  const auto handshakes_rejected = [&] {
+    const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
+    return snap.find("channel_handshakes_rejected")->value;
+  };
+
+  std::uint64_t seed = 40;
+  for (const std::string& address :
+       {std::string(bed_.cas_address()), std::string("pooled")}) {
+    SCOPED_TRACE(address);
+    InstanceRequest req;
+    req.session_name = "s";
+    req.common_sigstruct = signed_.sigstruct;
+    EXPECT_EQ(raw_instance_exchange(bed_.network(), address, req.serialize())
+                  .status.code,
+              StatusCode::kMalformedRequest);
+
+    const auto start = runtime::start_singleton_enclave(
+        bed_.cpu(), bed_.network(), address, image_, signed_.sigstruct, "s");
+    ASSERT_TRUE(start.ok()) << start.error;
+    const auto bound_payload = [&](const net::SecureClient& client) {
+      const sgx::Report report =
+          bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
+                             net::channel_binding(client.dh_public()));
+      AttestPayload payload;
+      payload.session_name = "s";
+      payload.quote = *bed_.qe().generate_quote(report);
+      payload.token = start.token;
+      return payload;
+    };
+
+    net::SecureClient bare(crypto::Drbg::from_seed(++seed, "bare-attest"));
+    const std::size_t spent_before = bed_.cas().tokens_used();
+    const std::uint64_t rejected_before = handshakes_rejected();
+    StatusCode rejected = StatusCode::kOk;
+    EXPECT_FALSE(bare.connect(bed_.network().connect(address),
+                              bed_.cas().identity(),
+                              bound_payload(bare).serialize(), &rejected)
+                     .has_value());
+    EXPECT_EQ(rejected, StatusCode::kMalformedRequest);
+    EXPECT_EQ(handshakes_rejected(), rejected_before + 1);
+    EXPECT_EQ(bed_.cas().tokens_used(), spent_before);
+
+    // The token is still live: the enveloped handshake spends it.
+    net::SecureClient client(crypto::Drbg::from_seed(++seed, "attest"));
+    ASSERT_TRUE(client
+                    .connect(bed_.network().connect(address),
+                             bed_.cas().identity(),
+                             bound_payload(client).enveloped())
+                    .has_value());
+    EXPECT_EQ(bed_.cas().tokens_used(), spent_before + 1);
+
+    // Config record: a bare command byte inside the attested session.
+    const Envelope reply = Envelope::deserialize(client.call(Bytes{1}));
+    EXPECT_EQ(ConfigResponse::deserialize(reply.payload).status.code,
+              StatusCode::kMalformedRequest);
+  }
+  server.unbind();
+}
+
 TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
   // The worker-thread escape regression: every hostile frame — truncated
   // or bit-flipped, enveloped or not — must come back as a well-formed
-  // response (either flavor), never strand the round trip or tear down
+  // enveloped response, never strand the round trip or tear down
   // the server. Exercised against the pooled frontend, whose workers used
   // to re-throw deserializer exceptions into Completion::fail.
   server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 2});
@@ -281,10 +332,7 @@ TEST_F(CasClientTest, NetworkLevelFuzzNeverStrandsACaller) {
   auto rng = crypto::Drbg::from_seed(99, "wire-fuzz");
   const auto exchange = [&](const Bytes& frame) {
     const Bytes raw = conn.call(frame);  // must not throw
-    if (Envelope::matches(raw))
-      (void)InstanceResponse::deserialize(Envelope::deserialize(raw).payload);
-    else
-      (void)InstanceResponse::deserialize_v0(raw);
+    (void)InstanceResponse::deserialize(Envelope::deserialize(raw).payload);
   };
 
   for (std::size_t len = 0; len < wire.size(); len += 13)

@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "common/status.h"
 #include "net/fault_plan.h"
+#include "obs/trace.h"
 #include "workload/cluster.h"
 
 namespace sinclave::workload {
@@ -285,6 +286,46 @@ TEST(Cluster, SealedStoreRollbackIsRefusedOnRestart) {
   ASSERT_TRUE(after.prepared.ok())
       << after.prepared.instance.status.message();
   EXPECT_TRUE(after.spend.attested) << to_string(after.spend.reject);
+}
+
+TEST(Cluster, FollowerRefusesRetrievalBeforeMintingAndIsTraced) {
+  ClusterBed bed(fast_config(17));
+  const std::size_t leader = bed.bootstrap();
+  const std::size_t follower = (leader + 1) % bed.size();
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.reset_traces();
+  const std::uint64_t mints_before =
+      tracer.phase("mint").latency().snapshot().count;
+
+  cas::InstanceRequest req;
+  req.session_name = bed.config().session_name;
+  req.common_sigstruct = bed.signed_image().sigstruct;
+  cas::Envelope env;
+  env.command = cas::Command::kGetInstance;
+  env.request_id = 0x5EED;
+  env.payload = req.serialize();
+  const cas::Envelope reply = cas::Envelope::deserialize(
+      bed.network().connect(bed.address(follower) + ".instance")
+          .call(env.serialize()));
+  const cas::InstanceResponse resp =
+      cas::InstanceResponse::deserialize(reply.payload);
+
+  // Refused with the leader hint, and nothing was signed for it.
+  EXPECT_EQ(resp.status.code, StatusCode::kNotLeader);
+  EXPECT_EQ(parse_leader_hint(resp.status.detail), bed.address(leader));
+  EXPECT_EQ(tracer.phase("mint").latency().snapshot().count, mints_before);
+
+  // The follower's frontend records the same trace root as a single node.
+  bool rooted = false;
+  for (const obs::Trace& trace : tracer.collect(64)) {
+    for (const obs::CollectedSpan& span : trace.spans) {
+      if (span.depth == 0 && trace.request_id == env.request_id &&
+          std::string(span.name) == "request_get_instance")
+        rooted = true;
+    }
+  }
+  EXPECT_TRUE(rooted);
 }
 
 }  // namespace

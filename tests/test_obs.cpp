@@ -665,65 +665,38 @@ TEST_F(ObsIntrospectionTest, SecureMetricsMirrorAutoRefreshesAtSnapshot) {
   EXPECT_NE(snap.find("policy_cache_hits"), nullptr);
 }
 
-// Satellite: the legacy-vs-envelope split of the SECURE endpoint, counted
-// past the encryption boundary (the serving layer only sees ciphertext).
-TEST_F(ObsIntrospectionTest, SecureEndpointCountsLegacyVersusEnvelope) {
+// The SECURE endpoint's frames are counted per command past the
+// encryption boundary (the serving layer only sees ciphertext).
+TEST_F(ObsIntrospectionTest, SecureEndpointCountsFramesPerCommand) {
   server::CasServer server(&bed_.cas(), server::CasServerConfig{.workers = 1});
   server.bind(bed_.network(), kServerAddress);
   const CasService::SecureFrameStats before = bed_.cas().secure_frame_stats();
 
-  // Session 1: the v1 SDK path — enveloped attest, enveloped config.
-  const auto start1 = runtime::start_singleton_enclave(
+  const auto start = runtime::start_singleton_enclave(
       bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
       "s");
-  ASSERT_TRUE(start1.ok()) << start1.error;
+  ASSERT_TRUE(start.ok()) << start.error;
   AttestedChannel channel(&bed_.network(), kServerAddress,
                           crypto::Drbg::from_seed(19, "obs-envelope"));
-  const sgx::Report report1 =
-      bed_.cpu().ereport(start1.enclave.id, bed_.qe().target_info(),
+  const sgx::Report report =
+      bed_.cpu().ereport(start.enclave.id, bed_.qe().target_info(),
                          net::channel_binding(channel.dh_public()));
-  const auto quote1 = bed_.qe().generate_quote(report1);
-  ASSERT_TRUE(quote1.has_value());
-  AttestPayload p1;
-  p1.session_name = "s";
-  p1.quote = *quote1;
-  p1.token = start1.token;
-  ASSERT_TRUE(channel.attest(bed_.cas().identity(), p1).ok());
+  const auto quote = bed_.qe().generate_quote(report);
+  ASSERT_TRUE(quote.has_value());
+  AttestPayload payload;
+  payload.session_name = "s";
+  payload.quote = *quote;
+  payload.token = start.token;
+  ASSERT_TRUE(channel.attest(bed_.cas().identity(), payload).ok());
   ASSERT_TRUE(channel.get_config().ok());
-
-  // Session 2: a seed-era peer — the raw AttestPayload, no envelope.
-  const auto start2 = runtime::start_singleton_enclave(
-      bed_.cpu(), bed_.network(), kServerAddress, image_, signed_.sigstruct,
-      "s");
-  ASSERT_TRUE(start2.ok()) << start2.error;
-  net::SecureClient legacy(crypto::Drbg::from_seed(20, "obs-legacy"));
-  const sgx::Report report2 =
-      bed_.cpu().ereport(start2.enclave.id, bed_.qe().target_info(),
-                         net::channel_binding(legacy.dh_public()));
-  const auto quote2 = bed_.qe().generate_quote(report2);
-  ASSERT_TRUE(quote2.has_value());
-  AttestPayload p2;
-  p2.session_name = "s";
-  p2.quote = *quote2;
-  p2.token = start2.token;
-  ASSERT_TRUE(legacy
-                  .connect(bed_.network().connect(kServerAddress),
-                           bed_.cas().identity(), p2.serialize())
-                  .has_value());
 
   const CasService::SecureFrameStats after = bed_.cas().secure_frame_stats();
   EXPECT_EQ(after.attest_envelope, before.attest_envelope + 1);
-  EXPECT_EQ(after.attest_legacy, before.attest_legacy + 1);
   EXPECT_EQ(after.config_envelope, before.config_envelope + 1);
-  EXPECT_EQ(after.config_legacy, before.config_legacy);
-
-  // The classification reaches the serving layer's per-command metrics —
-  // the documented legacy_frames gap — via the registry snapshot.
   const obs::MetricsSnapshot snap = bed_.cas().metrics_registry().snapshot();
-  const auto* legacy_attests = snap.find("attest_legacy_frames");
-  ASSERT_NE(legacy_attests, nullptr);
-  EXPECT_GE(legacy_attests->value, 1u);
-  EXPECT_GE(server.metrics().attest.legacy_frames.load(), 1u);
+  const auto* attests = snap.find("secure_attest_envelope_frames");
+  ASSERT_NE(attests, nullptr);
+  EXPECT_EQ(attests->value, after.attest_envelope);
 }
 
 }  // namespace

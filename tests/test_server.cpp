@@ -430,25 +430,8 @@ TEST_F(CasServerTest, ServesInstanceRequestsOverTheNetwork) {
 
   EXPECT_EQ(server.metrics().get_instance.requests.load(), 1u);
   EXPECT_EQ(server.metrics().get_instance.errors.load(), 0u);
-  EXPECT_EQ(server.metrics().get_instance.legacy_frames.load(), 0u);
   EXPECT_EQ(server.metrics().tokens_issued.load(), 1u);
   EXPECT_EQ(server.metrics().get_instance.latency.snapshot().count, 1u);
-}
-
-TEST_F(CasServerTest, LegacyV0FramesStillServedAndCounted) {
-  // A seed-era peer sends the raw InstanceRequest (no envelope) and
-  // expects the seed-era response layout back — answered in kind.
-  bed_.cas().install_policy(singleton_policy("s"));
-  CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
-  server.bind(bed_.network(), kServerAddress);
-
-  auto conn =
-      bed_.network().connect(std::string(kServerAddress) + ".instance");
-  const auto resp = cas::InstanceResponse::deserialize_v0(
-      conn.call(request("s").serialize()));
-  ASSERT_TRUE(resp.ok()) << resp.status.message();
-  EXPECT_TRUE(resp.singleton_sigstruct.signature_valid());
-  EXPECT_EQ(server.metrics().get_instance.legacy_frames.load(), 1u);
 }
 
 TEST_F(CasServerTest, ErrorPathsMatchDirectService) {
@@ -466,6 +449,70 @@ TEST_F(CasServerTest, ErrorPathsMatchDirectService) {
   EXPECT_EQ(bed_.cas().handle_instance(tampered).status.code,
             StatusCode::kBadSignature);
   EXPECT_EQ(server.metrics().get_instance.errors.load(), 2u);
+}
+
+/// Stand-in for the replicated log: counts arming requests; an accepting
+/// gate arms the token locally (as a committed log entry would), a
+/// refusing one answers `refusal` and arms nothing.
+class StubGate : public cas::ReplicationGate {
+ public:
+  StubGate(cas::CasService* cas, Status refusal)
+      : cas_(cas), refusal_(std::move(refusal)) {}
+
+  Status register_token(const core::AttestationToken& token,
+                        const std::string& session_name,
+                        const sgx::Measurement& expected_mr) override {
+    ++registered;
+    if (!refusal_.ok()) return refusal_;
+    cas_->register_token(token, session_name, expected_mr);
+    return Status();
+  }
+  Status spend_token(const core::AttestationToken&, const std::string&,
+                     const sgx::Measurement&) override {
+    return Status(StatusCode::kUnavailable);
+  }
+
+  std::atomic<int> registered{0};
+
+ private:
+  cas::CasService* cas_;
+  Status refusal_;
+};
+
+TEST_F(CasServerTest, GateRefusalIsAnsweredAndArmsNothing) {
+  bed_.cas().install_policy(singleton_policy("s"));
+  StubGate gate(&bed_.cas(),
+                Status(StatusCode::kNotLeader, not_leader_detail("cas.n2")));
+  bed_.cas().set_replication_gate(&gate);
+  {
+    CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
+    const auto resp = server.handle_instance(request("s"));
+    EXPECT_EQ(resp.status.code, StatusCode::kNotLeader);
+    EXPECT_EQ(parse_leader_hint(resp.status.detail), "cas.n2");
+    EXPECT_EQ(gate.registered.load(), 1);
+    EXPECT_EQ(bed_.cas().tokens_outstanding(), 0u);
+    EXPECT_EQ(server.metrics().tokens_issued.load(), 0u);
+  }
+  bed_.cas().set_replication_gate(nullptr);
+}
+
+TEST_F(CasServerTest, GateArmsEachServedCredentialOnce) {
+  bed_.cas().install_policy(singleton_policy("s"));
+  StubGate gate(&bed_.cas(), Status());
+  bed_.cas().set_replication_gate(&gate);
+  {
+    CasServer server(&bed_.cas(), CasServerConfig{.workers = 1});
+    ASSERT_EQ(server.premint("s", signed_.sigstruct, 2), 2u);
+    EXPECT_EQ(gate.registered.load(), 0);  // pooled credentials are inert
+    for (int i = 0; i < 3; ++i)  // two pooled, then one minted inline
+      ASSERT_TRUE(server.handle_instance(request("s")).ok());
+    EXPECT_EQ(server.metrics().sigstruct_cache_hits.load(), 2u);
+    EXPECT_EQ(server.metrics().sigstruct_cache_misses.load(), 1u);
+    EXPECT_EQ(gate.registered.load(), 3);
+    EXPECT_EQ(bed_.cas().tokens_outstanding(), 3u);
+    EXPECT_EQ(server.metrics().tokens_issued.load(), 3u);
+  }
+  bed_.cas().set_replication_gate(nullptr);
 }
 
 TEST_F(CasServerTest, PolicyCacheSkipsRepeatDbLoads) {
@@ -713,7 +760,7 @@ TEST_F(CasServerTest, RacingReplaysOfOneTokenAttestExactlyOnce) {
 
       const auto outcome =
           client.connect(bed_.network().connect(kServerAddress),
-                         bed_.cas().identity(), payload.serialize());
+                         bed_.cas().identity(), payload.enveloped());
       if (outcome.has_value())
         ++accepted;
       else

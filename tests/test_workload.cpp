@@ -108,7 +108,9 @@ TEST(LoadGenSchedule, IsAPureFunctionOfTheConfig) {
     for (std::size_t i = 0; i < one[c].size(); ++i) {
       EXPECT_EQ(one[c][i].session_index, two[c][i].session_index);
       EXPECT_EQ(one[c][i].at, two[c][i].at);
-      if (i > 0) EXPECT_GE(one[c][i].at, one[c][i - 1].at);  // time moves on
+      if (i > 0) {
+        EXPECT_GE(one[c][i].at, one[c][i - 1].at);  // time moves on
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 // driver replays + mutates them so even the fallback flavor starts from
 // deep program states. Everything here is deterministic (fixed Drbg
 // seeds) — running the tool twice yields identical corpora.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -41,8 +42,9 @@ void write_seed(const stdfs::path& dir, const std::string& name,
 
 /// Harness inputs start with a mode byte; prepend it.
 Bytes mode(std::uint8_t m, const Bytes& body = {}) {
-  Bytes out{m};
-  out.insert(out.end(), body.begin(), body.end());
+  Bytes out(body.size() + 1);
+  out[0] = m;
+  std::copy(body.begin(), body.end(), out.begin() + 1);
   return out;
 }
 
@@ -102,7 +104,6 @@ int main(int argc, char** argv) {
     resp.token = token;
     resp.singleton_sigstruct = signed_image.sigstruct;
     write_seed(dir, "instance_response_v1", mode(3, resp.serialize()));
-    write_seed(dir, "instance_response_v0", mode(4, resp.serialize_v0()));
 
     cas::AttestPayload attest;
     attest.session_name = "alpha";
@@ -115,7 +116,6 @@ int main(int argc, char** argv) {
     config.config.args = {"-v", "--mode=strict"};
     config.config.env["K"] = "V";
     write_seed(dir, "config_response_v1", mode(6, config.serialize()));
-    write_seed(dir, "config_response_v0", mode(7, config.serialize_v0()));
     write_seed(dir, "app_config", mode(1, config.config.serialize()));
 
     cas::IntrospectRequest intro_req;
@@ -127,9 +127,7 @@ int main(int argc, char** argv) {
     intro_resp.status = Status(StatusCode::kOk);
     intro_resp.metrics = "{\"requests\":1}";
     write_seed(dir, "introspect_response", mode(9, intro_resp.serialize()));
-
-    write_seed(dir, "legacy_status_text",
-               mode(12, text("error: token already used")));
+    write_seed(dir, "attest_frame", mode(12, attest.enveloped(5)));
   }
 
   // --- fuzz_status_details ------------------------------------------------
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
     write_seed(dir, "compose_parse",
                mode(1, Bytes{0x10, 0x27, 0x00, 0x00, 'a', 't', 't'}));
     write_seed(dir, "wire_bytes", mode(2, Bytes{0x07, 'd', 'e', 't'}));
-    write_seed(dir, "legacy_text", mode(3, text("\x05 deadline exceeded")));
+    write_seed(dir, "message_table", mode(3, Bytes{0x05}));
     write_seed(dir, "leader_hint",
                mode(4, chunk(text("not the leader (leader=cas-node2)"))));
   }

@@ -6,9 +6,9 @@ compiler — they are confinement rules about which tokens may appear in
 which files. This linter codifies the four documented ones:
 
   wire-confinement    Wire-protocol serialization (InstanceRequest &
-                      friends ::serialize/::deserialize, the *_v0 legacy
-                      encoders) stays inside src/cas/protocol.* and
-                      src/cas/client.*. Everything else goes through the
+                      friends ::serialize/::deserialize) stays inside
+                      src/cas/protocol.* and src/cas/client.*.
+                      Everything else goes through the
                       shared frontend glue so the two serving frontends
                       answer identically.
   raw-mutex           No std::mutex / std::shared_mutex / std::lock_guard
@@ -88,8 +88,7 @@ WIRE_TYPES = (
     "IntrospectRequest|IntrospectResponse"
 )
 RE_WIRE = re.compile(
-    r"\b(?:%s)\s*::\s*(?:serialize|deserialize)\b"
-    r"|\b(?:serialize_v0|deserialize_v0)\s*\(" % WIRE_TYPES
+    r"\b(?:%s)\s*::\s*(?:serialize|deserialize)\b" % WIRE_TYPES
 )
 
 RE_RAW_MUTEX = re.compile(
@@ -126,7 +125,7 @@ FUZZ_DECODER_HEADERS = (
 # `static T deserialize(...)` declarations: the return type names the wire
 # type, which is exactly the token a harness uses (stable<cas::T>, ...).
 RE_FUZZ_STRUCT_DECODER = re.compile(
-    r"static\s+(\w+)\s+deserialize(?:_v0)?\s*\(")
+    r"static\s+(\w+)\s+deserialize\s*\(")
 
 # Free-function decoders/parsers of attacker-controlled bytes.
 RE_FUZZ_FREE_DECODER = re.compile(
